@@ -11,8 +11,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "harness/arch_plugin.h"
 #include "harness/harness.h"
 
 int
@@ -25,6 +27,16 @@ main(int argc, char **argv)
         argc > 2 ? argv[2] : (scene_name + ".drstrace");
     const std::string arch_name = argc > 3 ? argv[3] : "drs";
     const int bounce = argc > 4 ? std::atoi(argv[4]) : 2;
+
+    // Every registered architecture replays; an unknown name fails here,
+    // naming the lineup, before the capture spends any time.
+    const harness::Arch arch(arch_name);
+    try {
+        harness::ArchRegistry::instance().get(arch);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "trace_capture: " << e.what() << "\n";
+        return 2;
+    }
 
     harness::ExperimentScale scale =
         harness::ExperimentScale::fromEnvironment();
@@ -44,12 +56,6 @@ main(int argc, char **argv)
               << arch_name << "'...\n";
     std::ifstream is(path, std::ios::binary);
     const render::RayTrace loaded = render::load(is);
-
-    harness::Arch arch = harness::Arch::Drs;
-    for (harness::Arch a : {harness::Arch::Aila, harness::Arch::Drs,
-                            harness::Arch::Dmk, harness::Arch::Tbc})
-        if (harness::archName(a) == arch_name)
-            arch = a;
 
     harness::RunConfig config;
     config.gpu.numSmx = scale.numSmx;

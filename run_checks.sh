@@ -13,7 +13,7 @@
 #    to an uninterrupted run (wall-clock and resume bookkeeping aside).
 # 3. Runs one bench twice in the regular build -- DRS_CHECK=0 vs
 #    DRS_CHECK=1 -- and verifies both JSON reports validate against the
-#    schema (tests/check_bench_schema.py) and are identical except for
+#    schema (tools/drs_validate) and are identical except for
 #    wall-clock fields: invariant checking must be a pure observer.
 # 4. Profiler smoke: the same bench under DRS_SAMPLE + DRS_TRACE must
 #    emit a Chrome trace that passes tests/check_trace.py, a report that
@@ -65,7 +65,7 @@ resume_smoke() {
       --json "$tmp/BENCH_resumed.json" >/dev/null
   DRS_RAYS=2048 DRS_SCALE=0.05 DRS_SMX=2 \
       "$bench" --jobs 2 --json "$tmp/BENCH_clean.json" >/dev/null
-  python3 tests/check_bench_schema.py "$tmp"/BENCH_*.json
+  "$1/tools/drs_validate" "$tmp"/BENCH_*.json
   python3 - "$tmp/BENCH_clean.json" "$tmp/BENCH_resumed.json" <<'PYEOF'
 import json
 import sys
@@ -126,7 +126,7 @@ cmake --build build -j"$JOBS"
 echo; echo "######## bench JSON: DRS_CHECK must be a pure observer ########"
 echo
 cmake -B build -S . >/dev/null
-cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown
+cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown drs_validate
 resume_smoke build
 json_dir=$(mktemp -d)
 trap 'rm -rf "$json_dir"' EXIT
@@ -136,7 +136,7 @@ DRS_CHECK=0 build/bench/bench_fig2_aila_breakdown --jobs 2 \
     --json "$json_dir/BENCH_unchecked.json"
 DRS_CHECK=1 build/bench/bench_fig2_aila_breakdown --jobs 2 \
     --json "$json_dir/BENCH_checked.json"
-python3 tests/check_bench_schema.py "$json_dir"/BENCH_*.json
+build/tools/drs_validate "$json_dir"/BENCH_*.json
 python3 - "$json_dir/BENCH_unchecked.json" "$json_dir/BENCH_checked.json" \
     <<'EOF'
 import json
@@ -179,7 +179,7 @@ build/tools/drs_tracecat -o "$telemetry_dir/merged.json" \
 python3 tests/check_trace.py "$telemetry_dir/merged.json"
 build/bench/bench_fig2_aila_breakdown --jobs 2 --fleet 2 \
     --json "$telemetry_dir/BENCH_quiet.json" >/dev/null
-python3 tests/check_bench_schema.py "$telemetry_dir"/BENCH_*.json
+build/tools/drs_validate "$telemetry_dir"/BENCH_*.json
 python3 - "$telemetry_dir/BENCH_quiet.json" \
     "$telemetry_dir/BENCH_logged.json" <<'EOF'
 import json
@@ -216,7 +216,7 @@ DRS_SAMPLE=500 DRS_TRACE="$json_dir/trace.json" \
     build/bench/bench_fig2_aila_breakdown --jobs 1 \
     --json "$json_dir/profiled/BENCH_fig2_aila_breakdown.json"
 python3 tests/check_trace.py "$json_dir/trace.json"
-python3 tests/check_bench_schema.py \
+build/tools/drs_validate \
     "$json_dir/profiled/BENCH_fig2_aila_breakdown.json"
 build/tools/drs_profile \
     "$json_dir/profiled/BENCH_fig2_aila_breakdown.json" >/dev/null

@@ -1,7 +1,6 @@
 #include "fleet/fleet.h"
 
 #include "exec/cancel.h"
-#include "fault/fault.h"
 #include "fleet/protocol.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -10,7 +9,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -46,16 +44,6 @@ secondsToDuration(double seconds)
 {
     return std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(seconds));
-}
-
-/** Deterministic jitter factor in [0.5, 1.0) for one re-dispatch. */
-double
-redispatchJitter(std::uint64_t seed, std::size_t job, int dispatch)
-{
-    const std::uint64_t mixed =
-        fault::mixSeed(seed ^ kRedispatchJitterSalt, job, dispatch);
-    const double unit = static_cast<double>(mixed >> 11) * 0x1.0p-53;
-    return 0.5 + 0.5 * unit;
 }
 
 bool
@@ -152,14 +140,10 @@ workerMain(int readFd, int writeFd, int workerId, int generation,
     ::sigemptyset(&ignore.sa_mask);
     ::sigaction(SIGPIPE, &ignore, nullptr);
 
-    // The coordinator is the only journal writer; the worker reports
-    // results over the pipe and keeps every other robustness knob
-    // (faults, watchdog, timeouts, retry) exactly as configured.
-    sweep.journalPath.clear();
-    sweep.resume = false;
-    sweep.crashAfter = 0;
+    // The worker only calls runJob, which never journals or reports
+    // progress (the coordinator alone does); every robustness knob
+    // (faults, watchdog, timeouts, retry) applies exactly as configured.
     sweep.cancel = &g_workerCancel;
-    sweep.progress = nullptr; // only the coordinator reports progress
     harness::SweepRunner runner(scale, 1, sweep);
 
     std::mutex writeMutex; // heartbeat thread vs. result writes
@@ -369,24 +353,13 @@ workerMain(int readFd, int writeFd, int workerId, int generation,
 // Coordinator
 // --------------------------------------------------------------------
 
-enum class JobState : unsigned char {
-    Pending,     ///< waiting for a worker (readyAt gates re-dispatch)
-    Inflight,    ///< claimed by a live worker
-    Done,        ///< result recorded (run, replayed, or failed in-worker)
-    Quarantined, ///< killed too many workers; recorded failed
-    Degraded,    ///< fleet exhausted before it could run; recorded failed
-    Cancelled,   ///< run stopped by SIGTERM/SIGINT or a cancel token
-};
-
-bool
-terminal(JobState state)
-{
-    return state != JobState::Pending && state != JobState::Inflight;
-}
-
+/**
+ * Dispatch state of one job. A job the ledger has not settled is either
+ * pending (waiting for a worker; readyAt gates re-dispatch) or inflight.
+ */
 struct JobSlot
 {
-    JobState state = JobState::Pending;
+    bool inflight = false; ///< claimed by a live worker
     int dispatches = 0; ///< claims sent (1-based dispatch counter)
     int deaths = 0;     ///< workers that died holding this job
     Clock::time_point readyAt{}; ///< earliest next dispatch
@@ -420,11 +393,11 @@ struct FleetRun
     const FleetOptions &options;
     FleetSummary &summary;
     const std::vector<SweepJob> &jobs;
-    std::vector<SweepResult> &results;
 
+    /** Results, --resume replay and the journal (coordinator-only). */
+    harness::JobLedger ledger;
     std::vector<JobSlot> slots;
     std::vector<WorkerState> workers;
-    harness::SweepJournal journal;
     int nextWorkerId = 0;
     int generationCounter = 0;
     bool readyHookFired = false;
@@ -460,10 +433,9 @@ struct FleetRun
     FleetRun(const harness::ExperimentScale &scale_,
              const harness::SweepOptions &sweep_,
              const FleetOptions &options_, FleetSummary &summary_,
-             const std::vector<SweepJob> &jobs_,
-             std::vector<SweepResult> &results_)
+             const std::vector<SweepJob> &jobs_)
         : scale(scale_), sweep(sweep_), options(options_), summary(summary_),
-          jobs(jobs_), results(results_), slots(jobs_.size())
+          jobs(jobs_), ledger(jobs_, sweep_, "fleet"), slots(jobs_.size())
     {
     }
 
@@ -527,23 +499,11 @@ struct FleetRun
         FleetProgress progress;
         progress.jobsTotal = jobs.size();
         for (std::size_t j = 0; j < slots.size(); ++j) {
-            switch (slots[j].state) {
-            case JobState::Inflight:
+            if (ledger.settled(j)) {
+                ++progress.jobsDone;
+                progress.jobsFailed += ledger.result(j).failed ? 1u : 0u;
+            } else if (slots[j].inflight) {
                 ++progress.jobsInflight;
-                break;
-            case JobState::Done:
-                ++progress.jobsDone;
-                if (results[j].failed)
-                    ++progress.jobsFailed;
-                break;
-            case JobState::Quarantined:
-            case JobState::Degraded:
-            case JobState::Cancelled:
-                ++progress.jobsDone;
-                ++progress.jobsFailed;
-                break;
-            case JobState::Pending:
-                break;
             }
         }
         progress.workersAlive = aliveCount();
@@ -575,8 +535,8 @@ struct FleetRun
     std::size_t remainingJobs() const
     {
         std::size_t n = 0;
-        for (const JobSlot &slot : slots)
-            n += terminal(slot.state) ? 0 : 1;
+        for (std::size_t j = 0; j < jobs.size(); ++j)
+            n += ledger.settled(j) ? 0 : 1;
         return n;
     }
 
@@ -625,7 +585,7 @@ struct FleetRun
             // would let a child write where only the coordinator may.
             ::close(toPipe[1]);
             ::close(fromPipe[0]);
-            journal.close();
+            ledger.closeJournal();
             for (WorkerState &other : workers)
                 if (other.alive) {
                     ::close(other.toFd);
@@ -678,31 +638,6 @@ struct FleetRun
                       std::move(data));
     }
 
-    void journalRecord(std::size_t index)
-    {
-        if (!journal.isOpen())
-            return;
-        const obs::Json entry = harness::sweepResultToJson(
-            index, harness::SweepRunner::jobKey(jobs[index]), results[index]);
-        std::string error;
-        if (!journal.append(entry, &error)) {
-            obs::Json data = obs::Json::object();
-            data["error"] = obs::Json(error);
-            obs::logEvent(obs::LogLevel::Error, "fleet",
-                          "journal_append_failed", std::move(data));
-        }
-        if (sweep.crashAfter > 0 && journal.appends() >= sweep.crashAfter) {
-            obs::Json data = obs::Json::object();
-            data["appends"] = obs::Json(journal.appends());
-            data["crash_after"] = obs::Json(sweep.crashAfter);
-            obs::logEvent(obs::LogLevel::Warn, "fleet", "crash_injection",
-                          std::move(data));
-            // Workers die with us via PR_SET_PDEATHSIG — the point is to
-            // simulate a coordinator crash, not a graceful stop.
-            std::_Exit(70);
-        }
-    }
-
     void maybeFireReadyHook()
     {
         if (readyHookFired || !options.onFleetReady)
@@ -744,20 +679,18 @@ struct FleetRun
             closeJobSpan(worker, "");
             worker.job = -1; // idle again
         }
-        JobSlot &slot = slots[index];
-        if (terminal(slot.state))
+        if (ledger.settled(index))
             return; // late duplicate: journal keeps exactly one record
-        slot.state = JobState::Done;
-        results[index] = std::move(result);
+        slots[index].inflight = false;
         {
             obs::Json data = obs::Json::object();
             data["job"] = obs::Json(static_cast<unsigned long long>(index));
             data["worker"] = obs::Json(worker.id);
-            data["failed"] = obs::Json(results[index].failed);
+            data["failed"] = obs::Json(result.failed);
             obs::logEvent(obs::LogLevel::Debug, "fleet", "job_done",
                           std::move(data));
         }
-        journalRecord(index);
+        ledger.record(index, std::move(result));
         noteCompletion();
     }
 
@@ -901,8 +834,9 @@ struct FleetRun
         if (job < 0)
             return;
         JobSlot &slot = slots[static_cast<std::size_t>(job)];
-        if (slot.state != JobState::Inflight)
+        if (!slot.inflight)
             return; // its result was drained above — nothing to redo
+        slot.inflight = false;
         ++slot.deaths;
         if (slot.deaths >= options.quarantineDeaths) {
             quarantine(static_cast<std::size_t>(job), slot);
@@ -910,11 +844,10 @@ struct FleetRun
         }
         // Seeded exponential backoff with jitter before the next try:
         // deterministic per sweep, but concurrent casualties spread out.
-        slot.state = JobState::Pending;
-        const double jitter = redispatchJitter(
-            sweep.fault.seed, static_cast<std::size_t>(job), slot.dispatches);
-        const double delay =
-            options.backoffSeconds * std::ldexp(1.0, slot.deaths - 1) * jitter;
+        const double delay = harness::jitteredBackoff(
+            options.backoffSeconds, slot.deaths - 1, sweep.fault.seed,
+            kRedispatchJitterSalt, static_cast<std::size_t>(job),
+            slot.dispatches);
         slot.readyAt = Clock::now() + secondsToDuration(delay);
         ++summary.redispatched;
         {
@@ -928,11 +861,9 @@ struct FleetRun
         traceInstant("redispatch job" + std::to_string(job), worker.id);
     }
 
-    void quarantine(std::size_t index, JobSlot &slot)
+    void quarantine(std::size_t index, const JobSlot &slot)
     {
-        slot.state = JobState::Quarantined;
-        SweepResult &result = results[index];
-        result.ran = false;
+        SweepResult result;
         result.failed = true;
         result.attempts = slot.dispatches;
         result.error = "quarantined: job killed " +
@@ -949,7 +880,7 @@ struct FleetRun
                           std::move(data));
         }
         traceInstant("quarantine job" + std::to_string(index), 0);
-        journalRecord(index);
+        ledger.record(index, std::move(result));
         noteCompletion();
     }
 
@@ -1002,7 +933,7 @@ struct FleetRun
                 continue;
             std::size_t pick = jobs.size();
             for (std::size_t j = 0; j < slots.size(); ++j)
-                if (slots[j].state == JobState::Pending &&
+                if (!slots[j].inflight && !ledger.settled(j) &&
                     slots[j].readyAt <= now) {
                     pick = j;
                     break;
@@ -1021,7 +952,7 @@ struct FleetRun
                 ::kill(worker.pid, SIGKILL);
                 continue;
             }
-            slot.state = JobState::Inflight;
+            slot.inflight = true;
             worker.job = static_cast<long long>(pick);
             worker.lastBeat = now;
             worker.claimTsMicros = traceNow();
@@ -1145,32 +1076,24 @@ struct FleetRun
                           std::move(data));
         }
         shutdownAll(/*force=*/true);
-        for (std::size_t j = 0; j < slots.size(); ++j) {
-            if (terminal(slots[j].state))
-                continue;
-            slots[j].state = JobState::Cancelled;
-            results[j].ran = false;
-            results[j].failed = true;
-            results[j].error = "fleet cancelled";
-            // Not journaled: a resumed run should execute these jobs.
-        }
+        // Not journaled: a resumed run should execute these jobs.
+        for (std::size_t j = 0; j < slots.size(); ++j)
+            if (!ledger.settled(j))
+                ledger.fail(j, "fleet cancelled");
         emitProgress(true);
     }
 
     void degradeRemaining()
     {
+        // Not journaled: the jobs never ran; --resume retries them.
         for (std::size_t j = 0; j < slots.size(); ++j) {
-            if (terminal(slots[j].state))
+            if (ledger.settled(j))
                 continue;
-            slots[j].state = JobState::Degraded;
-            results[j].ran = false;
-            results[j].failed = true;
-            results[j].attempts = slots[j].dispatches;
-            results[j].error =
-                "degraded: fleet exhausted (respawn budget spent) before "
-                "this job could run";
+            ledger.fail(j,
+                        "degraded: fleet exhausted (respawn budget spent) "
+                        "before this job could run",
+                        slots[j].dispatches);
             ++summary.degradedJobs;
-            // Not journaled: the job never ran; --resume retries it.
         }
         {
             obs::Json data = obs::Json::object();
@@ -1338,35 +1261,13 @@ FleetCoordinator::run(std::vector<harness::SweepJob> jobs)
 {
     summary_ = FleetSummary{};
     summary_.workers = options_.workers;
-    std::vector<SweepResult> results(jobs.size());
     if (jobs.empty())
-        return results;
+        return {};
 
     const auto start = Clock::now();
-    FleetRun run(scale_, sweep_, options_, summary_, jobs, results);
-
-    std::vector<char> done(jobs.size(), 0);
-    if (sweep_.resume && !sweep_.journalPath.empty())
-        done = harness::replaySweepJournal(sweep_.journalPath, jobs, results);
-    std::size_t replayed = 0;
-    for (std::size_t i = 0; i < done.size(); ++i)
-        if (done[i]) {
-            run.slots[i].state = JobState::Done;
-            ++replayed;
-        }
+    FleetRun run(scale_, sweep_, options_, summary_, jobs);
 
     if (!run.allTerminal()) {
-        if (!sweep_.journalPath.empty()) {
-            std::string error;
-            if (!run.journal.open(sweep_.journalPath, !sweep_.resume,
-                                  &error)) {
-                obs::Json data = obs::Json::object();
-                data["error"] = obs::Json(error);
-                obs::logEvent(obs::LogLevel::Warn, "fleet",
-                              "journal_open_failed", std::move(data));
-            }
-        }
-
         // Coordinator signal dispositions for the duration of the run:
         // SIGTERM/SIGINT become a cooperative stop (fanned out to the
         // workers), SIGPIPE must not kill us mid-write to a dead child.
@@ -1405,7 +1306,6 @@ FleetCoordinator::run(std::vector<harness::SweepJob> jobs)
         }
         if (!summary_.cancelled)
             run.shutdownAll(false);
-        run.journal.close();
         run.emitProgress(true);
 
         ::sigaction(SIGTERM, &oldTerm, nullptr);
@@ -1422,12 +1322,13 @@ FleetCoordinator::run(std::vector<harness::SweepJob> jobs)
     std::printf("[fleet] %zu jobs (%zu replayed) across %d workers "
                 "(%d spawned, %d respawned) in %.2fs  deaths=%d "
                 "hb_kills=%d redispatched=%d quarantined=%d degraded=%d%s\n",
-                jobs.size(), replayed, options_.workers, summary_.spawned,
-                summary_.respawned, wall, summary_.workerDeaths,
+                jobs.size(), run.ledger.replayed(), options_.workers,
+                summary_.spawned, summary_.respawned, wall,
+                summary_.workerDeaths,
                 summary_.heartbeatKills, summary_.redispatched,
                 summary_.quarantined, summary_.degradedJobs,
                 summary_.cancelled ? "  [cancelled]" : "");
-    return results;
+    return run.ledger.finish();
 }
 
 } // namespace drs::fleet

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,20 +37,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 /** Salt separating the backoff-jitter stream from the fault streams. */
 constexpr std::uint64_t kBackoffJitterSalt = 0x6a69747465720000ULL;
-
-/** Deterministic jitter factor in [0.5, 1.0) for one (job, attempt). */
-double
-backoffJitter(std::uint64_t seed, std::size_t index, int attempt)
-{
-    const std::uint64_t mixed =
-        fault::mixSeed(seed ^ kBackoffJitterSalt,
-                       static_cast<std::uint64_t>(index),
-                       static_cast<std::uint64_t>(attempt));
-    // Top 53 bits -> uniform double in [0, 1).
-    const double unit =
-        static_cast<double>(mixed >> 11) * 0x1.0p-53;
-    return 0.5 + 0.5 * unit;
-}
 
 } // namespace
 
@@ -206,29 +193,19 @@ replaySweepJournal(const std::string &path,
         if (line.empty())
             continue;
         std::string error;
-        std::optional<obs::Json> parsed = obs::Json::parse(line, &error);
-        if (!parsed || !parsed->isObject()) {
+        const std::optional<obs::Json> parsed = obs::Json::parse(line, &error);
+        std::uint64_t index = 0;
+        std::string key;
+        SweepResult result;
+        if (parsed)
+            error = sweepResultFromJson(*parsed, &index, &key, &result);
+        if (!parsed || !error.empty()) {
             // A crash mid-append leaves a truncated last line; tolerate
             // it (and anything after it) by re-running those jobs.
             obs::Json data = obs::Json::object();
             data["line"] = obs::Json(
                 static_cast<unsigned long long>(line_no));
-            data["error"] =
-                obs::Json(error.empty() ? "not an object" : error);
-            obs::logEvent(obs::LogLevel::Warn, "sweep",
-                          "resume_truncated", std::move(data));
-            break;
-        }
-        std::uint64_t index = 0;
-        std::string key;
-        SweepResult result;
-        const std::string reason =
-            sweepResultFromJson(*parsed, &index, &key, &result);
-        if (!reason.empty()) {
-            obs::Json data = obs::Json::object();
-            data["line"] = obs::Json(
-                static_cast<unsigned long long>(line_no));
-            data["error"] = obs::Json(reason);
+            data["error"] = obs::Json(error);
             obs::logEvent(obs::LogLevel::Warn, "sweep",
                           "resume_truncated", std::move(data));
             break;
@@ -250,34 +227,139 @@ replaySweepJournal(const std::string &path,
     return done;
 }
 
+double
+jitteredBackoff(double base_seconds, int doublings, std::uint64_t seed,
+                std::uint64_t salt, std::size_t index, int draw)
+{
+    const std::uint64_t mixed =
+        fault::mixSeed(seed ^ salt, static_cast<std::uint64_t>(index),
+                       static_cast<std::uint64_t>(draw));
+    // Top 53 bits -> uniform double in [0, 1).
+    const double unit = static_cast<double>(mixed >> 11) * 0x1.0p-53;
+    return base_seconds * std::ldexp(1.0, doublings) * (0.5 + 0.5 * unit);
+}
+
+// ------------------------------------------------------------ Job ledger
+
+JobLedger::JobLedger(const std::vector<SweepJob> &jobs,
+                     const SweepOptions &options, const char *subsystem)
+    : jobs_(jobs),
+      subsystem_(subsystem),
+      crashAfter_(options.crashAfter),
+      results_(jobs.size()),
+      settled_(jobs.size(), 0)
+{
+    if (options.journalPath.empty())
+        return;
+    if (options.resume) {
+        settled_ = replaySweepJournal(options.journalPath, jobs, results_);
+        for (const char done : settled_)
+            replayed_ += done ? 1u : 0u;
+    }
+    // Fresh run: truncate any stale journal so a later --resume cannot
+    // merge entries from a different invocation. Resumed runs append
+    // after the replayed records.
+    std::string error;
+    if (!journal_.open(options.journalPath, !options.resume, &error)) {
+        obs::Json data = obs::Json::object();
+        data["error"] = obs::Json(error);
+        obs::logEvent(obs::LogLevel::Warn, subsystem_, "journal_open_failed",
+                      std::move(data));
+    }
+}
+
+void
+JobLedger::record(std::size_t index, SweepResult result)
+{
+    results_[index] = std::move(result);
+    settled_[index] = 1;
+    if (!journal_.isOpen())
+        return;
+    const obs::Json entry = sweepResultToJson(
+        index, SweepRunner::jobKey(jobs_[index]), results_[index]);
+
+    std::lock_guard<std::mutex> lock(journalMutex_);
+    std::string error;
+    if (!journal_.append(entry, &error)) {
+        obs::Json data = obs::Json::object();
+        data["error"] = obs::Json(error);
+        obs::logEvent(obs::LogLevel::Error, subsystem_,
+                      "journal_append_failed", std::move(data));
+        return;
+    }
+    if (crashAfter_ > 0 && journal_.appends() >= crashAfter_) {
+        // Crash injection for the resume tests: die without unwinding,
+        // exactly like a kill -9 after the append hit the disk (fleet
+        // workers die with the coordinator via PR_SET_PDEATHSIG).
+        obs::Json data = obs::Json::object();
+        data["appends"] = obs::Json(journal_.appends());
+        data["crash_after"] = obs::Json(crashAfter_);
+        obs::logEvent(obs::LogLevel::Warn, subsystem_, "crash_injection",
+                      std::move(data));
+        std::fprintf(stderr, "[%s] DRS_CRASH_AFTER: exiting after %d "
+                             "journal append%s\n",
+                     subsystem_, journal_.appends(),
+                     journal_.appends() == 1 ? "" : "s");
+        std::fflush(stderr);
+        std::_Exit(70);
+    }
+}
+
+void
+JobLedger::fail(std::size_t index, std::string error, int attempts)
+{
+    // Unsettled results are still default-constructed (ran = false).
+    SweepResult &result = results_[index];
+    result.failed = true;
+    result.error = std::move(error);
+    result.attempts = attempts;
+    settled_[index] = 1;
+}
+
+std::size_t
+JobLedger::failed() const
+{
+    std::size_t count = 0;
+    for (const SweepResult &result : results_)
+        count += result.failed ? 1u : 0u;
+    return count;
+}
+
+void
+JobLedger::closeJournal()
+{
+    std::lock_guard<std::mutex> lock(journalMutex_);
+    journal_.close();
+}
+
+std::vector<SweepResult>
+JobLedger::finish()
+{
+    closeJournal();
+    return std::move(results_);
+}
+
 SweepOptions
 SweepOptions::fromEnvironment()
 {
     SweepOptions options;
     options.fault = fault::FaultConfig::fromEnvironment();
     options.watchdogCycles = fault::watchdogCyclesFromEnvironment();
-    if (const char *s = std::getenv("DRS_JOB_TIMEOUT")) {
+    const auto positiveSeconds = [](const char *name, double *out) {
+        const char *s = std::getenv(name);
+        if (s == nullptr)
+            return;
         char *end = nullptr;
         const double v = std::strtod(s, &end);
         if (end != s && *end == '\0' && v > 0)
-            options.jobTimeoutSeconds = v;
+            *out = v;
         else
-            std::fprintf(
-                stderr,
-                "[sweep] warning: ignoring malformed DRS_JOB_TIMEOUT='%s'\n",
-                s);
-    }
-    if (const char *s = std::getenv("DRS_RETRY_DEADLINE")) {
-        char *end = nullptr;
-        const double v = std::strtod(s, &end);
-        if (end != s && *end == '\0' && v > 0)
-            options.retryDeadlineSeconds = v;
-        else
-            std::fprintf(
-                stderr,
-                "[sweep] warning: ignoring malformed DRS_RETRY_DEADLINE='%s'\n",
-                s);
-    }
+            std::fprintf(stderr,
+                         "[sweep] warning: ignoring malformed %s='%s'\n",
+                         name, s);
+    };
+    positiveSeconds("DRS_JOB_TIMEOUT", &options.jobTimeoutSeconds);
+    positiveSeconds("DRS_RETRY_DEADLINE", &options.retryDeadlineSeconds);
     if (const char *s = std::getenv("DRS_CRASH_AFTER")) {
         char *end = nullptr;
         const long v = std::strtol(s, &end, 10);
@@ -436,7 +518,7 @@ SweepRunner::runOne(const SweepJob &job)
 }
 
 SweepResult
-SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
+SweepRunner::runJob(const SweepJob &job, std::size_t index)
 {
     SweepResult result;
     // The retry deadline spans the whole loop: every attempt and every
@@ -490,22 +572,17 @@ SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
             result.attempts = attempt;
             result.faultSeed = attempt_seed;
             return result;
-        } catch (const exec::Cancelled &e) {
-            // A sweep-wide cancel (signal fan-out): report the job
-            // failed and stop immediately — retrying a cancelled job
-            // would fight the shutdown.
-            result = SweepResult{};
-            result.failed = true;
-            result.error = e.what();
-            result.attempts = attempt;
-            result.faultSeed = attempt_seed;
-            return result;
         } catch (const std::exception &e) {
             result = SweepResult{};
             result.failed = true;
             result.error = e.what();
             result.attempts = attempt;
             result.faultSeed = attempt_seed;
+            // A sweep-wide cancel (signal fan-out): report the job
+            // failed and stop immediately — retrying a cancelled job
+            // would fight the shutdown.
+            if (dynamic_cast<const exec::Cancelled *>(&e) != nullptr)
+                return result;
             if (const auto *timeout =
                     dynamic_cast<const fault::WatchdogTimeout *>(&e)) {
                 // The diagnostic dump rides in the event payload: one
@@ -539,13 +616,11 @@ SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
                 return result;
             if (attempt < options_.maxAttempts &&
                 options_.backoffSeconds > 0) {
-                const double scale =
-                    static_cast<double>(std::uint64_t{1} << (attempt - 1));
                 // Deterministic jitter desynchronizes concurrent
                 // retries; same sweep, same waits (see SweepOptions).
-                const double delay = options_.backoffSeconds * scale *
-                                     backoffJitter(options_.fault.seed,
-                                                   index, attempt);
+                const double delay = jitteredBackoff(
+                    options_.backoffSeconds, attempt - 1, options_.fault.seed,
+                    kBackoffJitterSalt, index, attempt);
                 const auto wake =
                     Clock::now() +
                     std::chrono::duration_cast<Clock::duration>(
@@ -569,85 +644,33 @@ SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
     return result;
 }
 
-void
-SweepRunner::journalAppend(std::size_t index, const SweepJob &job,
-                           const SweepResult &result)
-{
-    if (options_.journalPath.empty())
-        return;
-
-    const obs::Json entry = sweepResultToJson(index, jobKey(job), result);
-
-    std::lock_guard<std::mutex> lock(journalMutex_);
-    std::string error;
-    if (!journal_.isOpen() || !journal_.append(entry, &error)) {
-        obs::Json data = obs::Json::object();
-        data["path"] = obs::Json(options_.journalPath);
-        data["error"] = obs::Json(error);
-        obs::logEvent(obs::LogLevel::Error, "sweep",
-                      "journal_append_failed", std::move(data));
-        return;
-    }
-    if (options_.crashAfter > 0 && journal_.appends() >= options_.crashAfter) {
-        // Crash injection for the resume tests: die without unwinding,
-        // exactly like a kill -9 after the append hit the disk.
-        obs::Json data = obs::Json::object();
-        data["appends"] = obs::Json(journal_.appends());
-        obs::logEvent(obs::LogLevel::Warn, "sweep", "crash_injection",
-                      std::move(data));
-        std::fprintf(stderr, "[sweep] DRS_CRASH_AFTER: exiting after %d "
-                             "journal append%s\n",
-                     journal_.appends(), journal_.appends() == 1 ? "" : "s");
-        std::fflush(stderr);
-        std::_Exit(70);
-    }
-}
-
 std::vector<SweepResult>
 SweepRunner::run()
 {
     std::vector<SweepJob> jobs;
     jobs.swap(pending_);
-    std::vector<SweepResult> results(jobs.size());
-
-    std::vector<char> done(jobs.size(), 0);
-    if (!options_.journalPath.empty()) {
-        if (options_.resume)
-            done = replaySweepJournal(options_.journalPath, jobs, results);
-        // Fresh run: truncate any stale journal so a later --resume
-        // cannot merge entries from a different invocation. Resumed
-        // runs append after the replayed records.
-        std::string error;
-        if (!journal_.open(options_.journalPath, !options_.resume, &error)) {
-            obs::Json data = obs::Json::object();
-            data["error"] = obs::Json(error);
-            obs::logEvent(obs::LogLevel::Warn, "sweep",
-                          "journal_open_failed", std::move(data));
-        }
-    }
+    JobLedger ledger(jobs, options_, "sweep");
 
     std::vector<std::size_t> todo;
     todo.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        if (!done[i])
+        if (!ledger.settled(i))
             todo.push_back(i);
 
     const auto start = std::chrono::steady_clock::now();
     // Progress accounting: replayed jobs count as done up front, and
     // each completion bumps the shared counter before the callback.
-    std::atomic<std::size_t> completed{jobs.size() - todo.size()};
+    std::atomic<std::size_t> completed{ledger.replayed()};
     if (options_.progress && !jobs.empty())
         options_.progress(completed.load(), jobs.size());
-    auto execute = [this, &jobs, &results, &completed](std::size_t i) {
+    auto execute = [this, &jobs, &ledger, &completed](std::size_t i) {
         if (options_.cancel != nullptr && options_.cancel->cancelled()) {
             // Cancelled sweep: fail the job instead of starting it so
             // the result vector stays complete (reported, not dropped).
-            results[i].failed = true;
-            results[i].error = "sweep cancelled";
+            ledger.fail(i, "sweep cancelled");
             return;
         }
-        results[i] = runWithRetry(jobs[i], i);
-        journalAppend(i, jobs[i], results[i]);
+        ledger.record(i, runJob(jobs[i], i));
         if (options_.progress)
             options_.progress(completed.fetch_add(1) + 1, jobs.size());
     };
@@ -662,28 +685,19 @@ SweepRunner::run()
         group.wait();
     }
 
-    journal_.close();
-
-    std::size_t replayed = 0;
-    std::size_t quarantined = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        replayed += results[i].fromJournal ? 1u : 0u;
-        quarantined += results[i].failed ? 1u : 0u;
-    }
-
     std::printf("[sweep] %zu sims on %d worker%s in %.2f s "
                 "(scene cache: %zu hit%s, %zu miss%s)",
                 todo.size(), jobs_count_, jobs_count_ == 1 ? "" : "s",
                 secondsSince(start), cache_.hits(),
                 cache_.hits() == 1 ? "" : "s", cache_.misses(),
                 cache_.misses() == 1 ? "" : "es");
-    if (replayed > 0)
-        std::printf(", %zu replayed from journal", replayed);
-    if (quarantined > 0)
-        std::printf(", %zu QUARANTINED", quarantined);
+    if (ledger.replayed() > 0)
+        std::printf(", %zu replayed from journal", ledger.replayed());
+    if (ledger.failed() > 0)
+        std::printf(", %zu QUARANTINED", ledger.failed());
     std::printf("\n");
     std::fflush(stdout);
-    return results;
+    return ledger.finish();
 }
 
 CaptureResult

@@ -182,7 +182,7 @@ struct SweepOptions
      * done so far, jobs total). Called from worker threads under the
      * runner's bookkeeping; keep it cheap (the --progress ticker just
      * repaints one stderr line). Pure observer — never affects results.
-     * Cleared by fleet workers: only the coordinator reports progress.
+     * Fleet workers never fire it: they only call runJob().
      */
     std::function<void(std::size_t done, std::size_t total)> progress;
 
@@ -201,7 +201,7 @@ struct SweepOptions
  * returning, so a record the caller saw succeed is on disk — a SIGKILL
  * (or DRS_CRASH_AFTER _Exit) one instruction later cannot lose it to a
  * libc or page-cache buffer. Not thread-safe; callers serialize (the
- * sweep runner holds its journal mutex across append()).
+ * JobLedger holds its journal mutex across append()).
  */
 class SweepJournal
 {
@@ -256,15 +256,80 @@ std::string sweepResultFromJson(const obs::Json &entry, std::uint64_t *index,
  * Replay a JSONL journal at @p path into @p results (sized like
  * @p jobs): entries whose index/key match the job at that index are
  * marked done; a malformed line (torn tail of a crash) stops the replay
- * and everything after it re-runs. Shared by SweepRunner::run(--resume)
- * and the fleet coordinator, so a journal written by either is
- * resumable by both.
+ * and everything after it re-runs. JobLedger replays through it for
+ * SweepRunner::run and the fleet coordinator alike, so a journal written
+ * by either is resumable by both.
  *
  * @return per-job done flags (1 = replayed from the journal)
  */
 std::vector<char> replaySweepJournal(const std::string &path,
                                      const std::vector<SweepJob> &jobs,
                                      std::vector<SweepResult> &results);
+
+/**
+ * Seeded exponential backoff: @p base_seconds * 2^@p doublings scaled by
+ * a jitter factor in [0.5, 1.0) drawn from (@p seed ^ @p salt, @p index,
+ * @p draw). Concurrent waits spread out, yet the same grid always waits
+ * the same amount. The sweep's retries and the fleet's re-dispatches
+ * pass distinct salts, so their streams never align.
+ */
+double jitteredBackoff(double base_seconds, int doublings, std::uint64_t seed,
+                       std::uint64_t salt, std::size_t index, int draw);
+
+/**
+ * Terminal-outcome ledger of one run over a job grid, shared by
+ * SweepRunner::run and the fleet coordinator. It holds the results in
+ * grid order, starts a --resume run from the journal's replayed records
+ * (a fresh run truncates the journal instead), appends every record()ed
+ * outcome exactly once as a fsync'd sweepResultToJson line, and
+ * terminates the process with _Exit(70) after SweepOptions::crashAfter
+ * appends. Jobs closed through fail() (cancelled, or never run) are not
+ * journaled, so a later --resume runs them.
+ *
+ * record() and fail() may run concurrently for distinct jobs.
+ */
+class JobLedger
+{
+  public:
+    /**
+     * @param subsystem event-log subsystem of the caller ("sweep",
+     *        "fleet"); journal and crash-injection events log under it
+     */
+    JobLedger(const std::vector<SweepJob> &jobs, const SweepOptions &options,
+              const char *subsystem);
+
+    /** True once job @p index is replayed, recorded or failed. */
+    bool settled(std::size_t index) const { return settled_[index] != 0; }
+
+    const SweepResult &result(std::size_t i) const { return results_[i]; }
+
+    /** Settle job @p index with @p result and journal it. */
+    void record(std::size_t index, SweepResult result);
+
+    /** Settle job @p index as failed with @p error, not journaled. */
+    void fail(std::size_t index, std::string error, int attempts = 0);
+
+    /** Jobs settled from the --resume journal. */
+    std::size_t replayed() const { return replayed_; }
+    /** Settled jobs whose outcome is a failure. */
+    std::size_t failed() const;
+
+    /** Close the journal writer (a forked child must not inherit it). */
+    void closeJournal();
+
+    /** Close the journal and hand out the results in grid order. */
+    std::vector<SweepResult> finish();
+
+  private:
+    const std::vector<SweepJob> &jobs_;
+    const char *subsystem_;
+    int crashAfter_;
+    std::vector<SweepResult> results_;
+    std::vector<char> settled_;
+    std::size_t replayed_ = 0;
+    std::mutex journalMutex_;
+    SweepJournal journal_;
+};
 
 /**
  * Declarative experiment sweep over a shared scene cache.
@@ -332,10 +397,7 @@ class SweepRunner
      * worker executing job 7 of a sharded grid produces bit-identical
      * results to the single-process sweep running job 7 itself.
      */
-    SweepResult runJob(const SweepJob &job, std::size_t index)
-    {
-        return runWithRetry(job, index);
-    }
+    SweepResult runJob(const SweepJob &job, std::size_t index);
 
     /** Take (and clear) the queued jobs, e.g. to shard them elsewhere. */
     std::vector<SweepJob> takePending();
@@ -350,17 +412,12 @@ class SweepRunner
 
   private:
     SweepResult runOne(const SweepJob &job);
-    SweepResult runWithRetry(const SweepJob &job, std::size_t index);
-    void journalAppend(std::size_t index, const SweepJob &job,
-                       const SweepResult &result);
 
     ExperimentScale scale_;
     int jobs_count_;
     SweepOptions options_;
     PreparedSceneCache cache_;
     std::vector<SweepJob> pending_;
-    std::mutex journalMutex_;
-    SweepJournal journal_;
 };
 
 /**

@@ -1,8 +1,10 @@
 #include "obs/report.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <sstream>
 
 #include <fcntl.h>
@@ -105,10 +107,44 @@ isUnitInterval(const Json &v)
     return v.isNumber() && v.asDouble() >= 0.0 && v.asDouble() <= 1.0;
 }
 
+// NaN/Infinity mean a degraded or buggy bench leaked an unguarded
+// ratio: wherever a number is expected it must be finite.
 bool
 isNonNegativeNumber(const Json &v)
 {
-    return v.isNumber() && v.asDouble() >= 0.0;
+    return v.isNumber() && v.asDouble() >= 0.0 && std::isfinite(v.asDouble());
+}
+
+/** "" when every one of @p fields is a non-negative number, else why. */
+std::string
+requireNonNegative(const Json &section,
+                   std::initializer_list<const char *> fields,
+                   const std::string &where)
+{
+    for (const char *field : fields)
+        if (const Json *v = section.find(field); !v || !isNonNegativeNumber(*v))
+            return where + "." + field + " must be a non-negative number";
+    return "";
+}
+
+/** First path under @p where holding a non-finite number, or "". */
+std::string
+findNonFinite(const Json &value, const std::string &where)
+{
+    if (value.isNumber())
+        return std::isfinite(value.asDouble()) ? "" : where;
+    if (value.isObject())
+        for (const auto &[key, item] : value.asObject())
+            if (std::string found = findNonFinite(item, where + "." + key);
+                !found.empty())
+                return found;
+    if (value.isArray())
+        for (std::size_t i = 0; i < value.asArray().size(); ++i)
+            if (std::string found = findNonFinite(
+                    value.asArray()[i], where + "[" + std::to_string(i) + "]");
+                !found.empty())
+                return found;
+    return "";
 }
 
 /** Validate an optional per-row "attribution" profiler section. */
@@ -117,15 +153,14 @@ validateAttribution(const Json &section, const std::string &where)
 {
     if (!section.isObject())
         return where + " must be an object";
-    for (const char *field : {"slots_per_cycle", "cycles", "total_slots"}) {
-        const Json *v = section.find(field);
-        if (!v || !isNonNegativeNumber(*v))
-            return where + "." + field +
-                   " must be a non-negative number";
-    }
+    if (std::string reason = requireNonNegative(
+            section, {"slots_per_cycle", "cycles", "total_slots"}, where);
+        !reason.empty())
+        return reason;
     const Json *buckets = section.find("buckets");
     if (!buckets || !buckets->isObject())
         return where + ".buckets must be an object";
+    double bucket_total = 0.0;
     for (const auto &[name, bucket] : buckets->asObject()) {
         if (!bucket.isObject())
             return where + ".buckets." + name + " must be an object";
@@ -133,7 +168,16 @@ validateAttribution(const Json &section, const std::string &where)
             if (!isNonNegativeNumber(value))
                 return where + ".buckets." + name + "." + phase +
                        " must be a non-negative number";
+        if (const Json *total = bucket.find("total"))
+            bucket_total += total->asDouble();
     }
+    // The conservation invariant survives serialization too.
+    const double total_slots = section.find("total_slots")->asDouble();
+    if (bucket_total != total_slots ||
+        total_slots != section.find("slots_per_cycle")->asDouble() *
+                           section.find("cycles")->asDouble())
+        return where + ": bucket totals, total_slots and slots_per_cycle x "
+                       "cycles disagree (conservation violated)";
     if (const Json *blocks = section.find("blocks")) {
         if (!blocks->isArray())
             return where + ".blocks must be an array";
@@ -159,12 +203,10 @@ validateTimeline(const Json &section, const std::string &where)
 {
     if (!section.isObject())
         return where + " must be an object";
-    for (const char *field : {"interval", "base_interval"}) {
-        const Json *v = section.find(field);
-        if (!v || !isNonNegativeNumber(*v))
-            return where + "." + field +
-                   " must be a non-negative number";
-    }
+    if (std::string reason =
+            requireNonNegative(section, {"interval", "base_interval"}, where);
+        !reason.empty())
+        return reason;
     const Json *frames = section.find("frames");
     if (!frames || !frames->isArray())
         return where + ".frames must be an array";
@@ -175,12 +217,11 @@ validateTimeline(const Json &section, const std::string &where)
             where + ".frames[" + std::to_string(i) + "]";
         if (!frame.isObject())
             return at + " must be an object";
-        for (const char *field : {"begin", "end", "instructions",
-                                  "active_threads", "rays_completed"})
-            if (const Json *v = frame.find(field);
-                !v || !isNonNegativeNumber(*v))
-                return at + "." + field +
-                       " must be a non-negative number";
+        if (std::string reason = requireNonNegative(
+                frame, {"begin", "end", "instructions", "active_threads",
+                        "rays_completed"}, at);
+            !reason.empty())
+            return reason;
         if (frame.find("begin")->asDouble() > frame.find("end")->asDouble())
             return at + " has begin > end";
         if (frame.find("begin")->asDouble() <= last_begin)
@@ -206,13 +247,7 @@ validateTrace(const Json &section, const std::string &where)
 {
     if (!section.isObject())
         return where + " must be an object";
-    for (const char *field : {"recorded", "ring_dropped"}) {
-        const Json *v = section.find(field);
-        if (!v || !isNonNegativeNumber(*v))
-            return where + "." + field +
-                   " must be a non-negative number";
-    }
-    return "";
+    return requireNonNegative(section, {"recorded", "ring_dropped"}, where);
 }
 
 /** Validate the fleet benches' "summary.fleet" aggregate (v4). */
@@ -221,31 +256,30 @@ validateFleetSummary(const Json &fleet)
 {
     if (!fleet.isObject())
         return "summary.fleet must be an object";
-    static const char *kCounters[] = {
-        "workers",      "spawned",      "respawned",     "worker_deaths",
-        "heartbeat_kills", "redispatched", "quarantined", "degraded_jobs"};
-    for (const char *field : kCounters) {
-        const Json *v = fleet.find(field);
-        if (!v || !isNonNegativeNumber(*v))
-            return std::string("summary.fleet.") + field +
-                   " must be a non-negative number";
-    }
+    if (std::string reason = requireNonNegative(
+            fleet, {"workers", "spawned", "respawned", "worker_deaths",
+                    "heartbeat_kills", "redispatched", "quarantined",
+                    "degraded_jobs"}, "summary.fleet");
+        !reason.empty())
+        return reason;
+    if (fleet.find("respawned")->asDouble() > fleet.find("spawned")->asDouble())
+        return "summary.fleet: respawned exceeds spawned";
     if (const Json *cancelled = fleet.find("cancelled");
-        cancelled && !cancelled->isBool())
+        !cancelled || !cancelled->isBool())
         return "summary.fleet.cancelled must be a boolean";
     const Json *telemetry = fleet.find("telemetry");
     if (!telemetry || !telemetry->isObject())
         return "summary.fleet.telemetry must be an object";
-    static const char *kTelemetry[] = {
-        "frames",       "jobs_reported",    "cycles",
-        "rays_traced",  "job_seconds",      "user_cpu_seconds",
-        "sys_cpu_seconds", "peak_rss_kb",   "max_heartbeat_lag_us"};
-    for (const char *field : kTelemetry) {
-        const Json *v = telemetry->find(field);
-        if (!v || !isNonNegativeNumber(*v))
-            return std::string("summary.fleet.telemetry.") + field +
-                   " must be a non-negative number";
-    }
+    if (std::string reason = requireNonNegative(
+            *telemetry, {"frames", "jobs_reported", "cycles", "rays_traced",
+                         "job_seconds", "user_cpu_seconds", "sys_cpu_seconds",
+                         "peak_rss_kb", "max_heartbeat_lag_us"},
+            "summary.fleet.telemetry");
+        !reason.empty())
+        return reason;
+    if (telemetry->find("jobs_reported")->asDouble() >
+        telemetry->find("frames")->asDouble())
+        return "summary.fleet.telemetry: jobs_reported exceeds frames";
     return "";
 }
 
@@ -350,14 +384,15 @@ validateBenchReport(const Json &document)
             !reason.empty())
             return reason;
 
-    if (const Json *summary = document.find("summary")) {
-        if (!summary->isObject())
-            return "\"summary\" must be an object";
-        if (const Json *fleet = summary->find("fleet"))
-            if (std::string reason = validateFleetSummary(*fleet);
-                !reason.empty())
-                return reason;
-    }
+    const Json *summary = document.find("summary");
+    if (!summary || !summary->isObject())
+        return "missing \"summary\" object";
+    if (std::string where = findNonFinite(*summary, "summary"); !where.empty())
+        return where + " is not a finite number";
+    if (const Json *fleet = summary->find("fleet"))
+        if (std::string reason = validateFleetSummary(*fleet);
+            !reason.empty())
+            return reason;
 
     return "";
 }

@@ -19,7 +19,7 @@
  *     "options": { ... },         // jobs, smx_threads, ...
  *     "wall_seconds": <number>,   // whole-bench wall clock
  *     "results": [ { ... }, ... ],// one object per table row/cell group
- *     "summary": { ... }          // optional bench-specific aggregates
+ *     "summary": { ... }          // bench-specific aggregates
  *   }
  * Result rows are open-ended, but when the well-known metric fields are
  * present they must be well-formed (see validateBenchReport). Version 2
@@ -94,15 +94,19 @@ class BenchReport
  * "cycles", "rays_traced", "wall_seconds", "mrays_per_s",
  * "speedup_vs_aila", "attempts" and "fault_seed" must be non-negative
  * numbers; "scene" and "arch" must be strings; "failed" and
- * "from_journal" must be booleans. The optional profiler sections are
- * checked structurally: "attribution" needs slots_per_cycle/cycles/
- * total_slots plus a "buckets" object of numeric breakdowns, "timeline"
- * needs interval/base_interval plus a "frames" array whose windows are
- * well-ordered with numeric counters and a [0, 1] simd_efficiency, a
- * row "trace" section needs non-negative recorded/ring_dropped
- * counters, and a "summary.fleet" object must carry the supervision
- * counters plus a complete "telemetry" aggregate.
- * Older schema versions are rejected with a clear version error.
+ * "from_journal" must be booleans; checked numbers must be finite. The
+ * optional profiler sections are checked structurally: "attribution"
+ * needs slots_per_cycle/cycles/total_slots plus a "buckets" object of
+ * numeric breakdowns that conserve (bucket totals = total_slots =
+ * slots_per_cycle x cycles), "timeline" needs interval/base_interval
+ * plus a "frames" array whose windows are well-ordered with numeric
+ * counters and a [0, 1] simd_efficiency, and a row "trace" section
+ * needs non-negative recorded/ring_dropped counters. The "summary"
+ * object is required and holds no NaN/Infinity; a "summary.fleet"
+ * object must carry the supervision counters (respawned <= spawned),
+ * the "cancelled" bool and a complete "telemetry" aggregate
+ * (jobs_reported <= frames). Older schema versions are rejected with a
+ * clear version error. tools/drs_validate runs this over report files.
  *
  * @return empty string when valid, else a human-readable reason.
  */

@@ -31,6 +31,7 @@
 #include "fleet/protocol.h"
 #include "harness/sweep.h"
 #include "obs/json.h"
+#include "sweep_fixture.h"
 
 namespace drs::fleet {
 namespace {
@@ -38,46 +39,8 @@ namespace {
 using harness::SweepJob;
 using harness::SweepOptions;
 using harness::SweepResult;
-using harness::SweepRunner;
 
-harness::ExperimentScale
-tinyScale()
-{
-    harness::ExperimentScale scale;
-    scale.sceneScale = 0.05f;
-    scale.width = 128;
-    scale.height = 96;
-    scale.samplesPerPixel = 1;
-    scale.raysPerBounce = 4096;
-    scale.numSmx = 2;
-    scale.maxDepth = 3;
-    return scale;
-}
-
-std::vector<SweepJob>
-tinyJobs()
-{
-    std::vector<SweepJob> jobs;
-    for (int bounce = 1; bounce <= 3; ++bounce) {
-        SweepJob job;
-        job.scene = scene::SceneId::Conference;
-        job.arch = bounce == 2 ? harness::Arch::Drs : harness::Arch::Aila;
-        job.config.gpu.numSmx = 2;
-        job.bounce = bounce;
-        job.maxRays = 192;
-        jobs.push_back(job);
-    }
-    return jobs;
-}
-
-std::vector<SweepResult>
-runSolo(const SweepOptions &options)
-{
-    SweepRunner runner(tinyScale(), 1, options);
-    for (const SweepJob &job : tinyJobs())
-        runner.add(job);
-    return runner.run();
-}
+using namespace harness::fixture;
 
 std::vector<SweepResult>
 runFleet(const SweepOptions &sweep, const FleetOptions &options,
@@ -88,25 +51,6 @@ runFleet(const SweepOptions &sweep, const FleetOptions &options,
     if (summary)
         *summary = coordinator.summary();
     return results;
-}
-
-/** Result equality that ignores wall-clock and provenance fields. */
-void
-expectSameOutcome(const std::vector<SweepResult> &a,
-                  const std::vector<SweepResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].ran, b[i].ran) << "job " << i;
-        EXPECT_EQ(a[i].failed, b[i].failed) << "job " << i;
-        EXPECT_TRUE(a[i].stats == b[i].stats) << "job " << i;
-    }
-}
-
-std::string
-tempPath(const char *name)
-{
-    return ::testing::TempDir() + name;
 }
 
 // ------------------------------------------------- Protocol framing
@@ -271,7 +215,7 @@ TEST(FleetOptionsEnv, ParsesAndRejectsKnobs)
 TEST(FleetBitIdentity, CleanFleetMatchesSingleProcessSweep)
 {
     SweepOptions sweep;
-    const auto reference = runSolo(sweep);
+    const auto reference = runSweep(sweep);
 
     FleetOptions options;
     options.workers = 2;
@@ -294,7 +238,7 @@ TEST(FleetBitIdentity, FaultInjectingFleetMatchesSingleProcessSweep)
     // change them.
     SweepOptions sweep;
     sweep.fault.seed = 0xbeefULL;
-    const auto reference = runSolo(sweep);
+    const auto reference = runSweep(sweep);
 
     FleetOptions options;
     options.workers = 3;
@@ -308,7 +252,7 @@ TEST(FleetBitIdentity, FaultInjectingFleetMatchesSingleProcessSweep)
 TEST(FleetBitIdentity, ChaosKillsChangeNothingButWallClock)
 {
     SweepOptions sweep;
-    const auto reference = runSolo(sweep);
+    const auto reference = runSweep(sweep);
 
     FleetOptions options;
     options.workers = 2;
@@ -367,10 +311,7 @@ TEST(FleetJournal, FleetJournalReplaysInProcessAndIsDuplicateFree)
     // The in-process runner resumes a fleet-written journal verbatim.
     SweepOptions resume = sweep;
     resume.resume = true;
-    SweepRunner runner(tinyScale(), 1, resume);
-    for (const SweepJob &job : tinyJobs())
-        runner.add(job);
-    const auto replayed = runner.run();
+    const auto replayed = runSweep(resume);
     for (const SweepResult &result : replayed)
         EXPECT_TRUE(result.fromJournal) << "nothing should re-run";
     expectSameOutcome(fleet, replayed);
@@ -382,7 +323,7 @@ TEST(FleetJournal, FleetJournalReplaysInProcessAndIsDuplicateFree)
 TEST(FleetSupervision, HeartbeatTimeoutKillsAndRedispatches)
 {
     SweepOptions sweep;
-    const auto reference = runSolo(sweep);
+    const auto reference = runSweep(sweep);
 
     FleetOptions options;
     options.workers = 2;
@@ -402,7 +343,7 @@ TEST(FleetSupervision, HeartbeatTimeoutKillsAndRedispatches)
 TEST(FleetSupervision, PoisonJobIsQuarantinedOthersComplete)
 {
     SweepOptions sweep;
-    const auto reference = runSolo(sweep);
+    const auto reference = runSweep(sweep);
 
     FleetOptions options;
     options.workers = 2;

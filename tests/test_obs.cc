@@ -9,6 +9,7 @@
  */
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -317,6 +318,63 @@ TEST(BenchReport, ValidatorCatchesSchemaViolations)
         Json &row = doc["results"].push(Json::object());
         row["counters"]["drs.swaps"] = -3;
         EXPECT_NE(validateBenchReport(doc), "");
+    }
+    {
+        // Attribution must conserve: bucket totals sum to total_slots.
+        Json doc = validReport();
+        Json &attribution =
+            doc["results"].push(Json::object())["attribution"];
+        attribution["slots_per_cycle"] = 8;
+        attribution["cycles"] = 10;
+        attribution["total_slots"] = 80;
+        attribution["buckets"]["issued"]["total"] = 80;
+        EXPECT_EQ(validateBenchReport(doc), "");
+        attribution["buckets"]["issued"]["total"] = 70;
+        EXPECT_NE(validateBenchReport(doc), "");
+    }
+    {
+        Json doc = validReport();
+        const auto fleet = [&doc](int respawned, int frames,
+                                  bool with_cancelled) {
+            Json &section = doc["summary"]["fleet"];
+            section = Json::object();
+            for (const char *field :
+                 {"workers", "spawned", "worker_deaths", "heartbeat_kills",
+                  "redispatched", "quarantined", "degraded_jobs"})
+                section[field] = 2;
+            section["respawned"] = respawned;
+            if (with_cancelled)
+                section["cancelled"] = false;
+            for (const char *field :
+                 {"jobs_reported", "cycles", "rays_traced", "job_seconds",
+                  "user_cpu_seconds", "sys_cpu_seconds", "peak_rss_kb",
+                  "max_heartbeat_lag_us"})
+                section["telemetry"][field] = 2;
+            section["telemetry"]["frames"] = frames;
+            return validateBenchReport(doc);
+        };
+        EXPECT_EQ(fleet(2, 2, true), "");
+        EXPECT_NE(fleet(3, 2, true), "") << "respawned > spawned";
+        EXPECT_NE(fleet(2, 1, true), "") << "jobs_reported > frames";
+        EXPECT_NE(fleet(2, 2, false), "") << "no summary.fleet.cancelled";
+    }
+    {
+        const Json full = validReport();
+        Json doc = Json::object();
+        for (const auto &[key, value] : full.asObject())
+            if (key != "summary")
+                doc[key] = value;
+        EXPECT_NE(validateBenchReport(doc), "") << "no summary object";
+    }
+    {
+        const double inf = std::numeric_limits<double>::infinity();
+        Json row_doc = validReport();
+        row_doc["results"].push(Json::object())["mrays_per_s"] = inf;
+        EXPECT_NE(validateBenchReport(row_doc), "") << "+Inf in a row";
+        Json summary_doc = validReport();
+        summary_doc["summary"]["nested"]["ratio"] = inf;
+        EXPECT_NE(validateBenchReport(summary_doc), "")
+            << "+Inf in the summary";
     }
 }
 

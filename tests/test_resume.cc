@@ -4,7 +4,8 @@
  * round trip backing the journal, journal write/replay, corrupt-tail
  * tolerance, retry + quarantine (jobs are reported, never dropped), and
  * the headline resume contract — an interrupted sweep resumed from its
- * journal merges to results identical to an uninterrupted run.
+ * journal merges to results identical to an uninterrupted run, also
+ * after a real DRS_CRASH_AFTER exit mid-sweep.
  */
 
 #include <gtest/gtest.h>
@@ -14,69 +15,17 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "harness/report.h"
 #include "harness/sweep.h"
+#include "sweep_fixture.h"
 
 namespace drs::harness {
 namespace {
 
-ExperimentScale
-tinyScale()
-{
-    ExperimentScale scale;
-    scale.sceneScale = 0.05f;
-    scale.width = 128;
-    scale.height = 96;
-    scale.samplesPerPixel = 1;
-    scale.raysPerBounce = 4096;
-    scale.numSmx = 2;
-    scale.maxDepth = 3;
-    return scale;
-}
-
-std::vector<SweepJob>
-tinyJobs()
-{
-    std::vector<SweepJob> jobs;
-    for (int bounce = 1; bounce <= 3; ++bounce) {
-        SweepJob job;
-        job.scene = scene::SceneId::Conference;
-        job.arch = bounce == 2 ? Arch::Drs : Arch::Aila;
-        job.config.gpu.numSmx = 2;
-        job.bounce = bounce;
-        job.maxRays = 192;
-        jobs.push_back(job);
-    }
-    return jobs;
-}
-
-std::vector<SweepResult>
-runSweep(const SweepOptions &options, int workers = 1)
-{
-    SweepRunner runner(tinyScale(), workers, options);
-    for (const SweepJob &job : tinyJobs())
-        runner.add(job);
-    return runner.run();
-}
-
-/** Result equality that ignores wall-clock and provenance fields. */
-void
-expectSameOutcome(const std::vector<SweepResult> &a,
-                  const std::vector<SweepResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].ran, b[i].ran) << "job " << i;
-        EXPECT_EQ(a[i].failed, b[i].failed) << "job " << i;
-        EXPECT_TRUE(a[i].stats == b[i].stats) << "job " << i;
-    }
-}
-
-std::string
-tempPath(const char *name)
-{
-    return ::testing::TempDir() + name;
-}
+using namespace fixture;
 
 // --------------------------------------------- Lossless stats JSON
 
@@ -236,6 +185,46 @@ TEST(SweepResume, MismatchedKeyIsRejected)
     std::remove(journal.c_str());
 }
 
+TEST(SweepResume, CrashInjectionStopsAfterTheNthAppendAndResumes)
+{
+    // Reference: an uninterrupted run with no journal at all.
+    const auto reference = runSweep(SweepOptions{});
+
+    const std::string journal = tempPath("crash_journal.jsonl");
+    SweepOptions options;
+    options.journalPath = journal;
+    std::fflush(nullptr); // the child must not re-emit buffered output
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        SweepOptions crashing = options;
+        crashing.crashAfter = 2;
+        runSweep(crashing);
+        ::_exit(0); // unreachable when the crash hook fires
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 70);
+    {
+        std::ifstream in(journal);
+        int lines = 0;
+        for (std::string line; std::getline(in, line);)
+            ++lines;
+        EXPECT_EQ(lines, 2) << "one fsync'd record per finished job";
+    }
+
+    SweepOptions resume = options;
+    resume.resume = true;
+    const auto merged = runSweep(resume);
+    int replayed = 0;
+    for (const SweepResult &result : merged)
+        replayed += result.fromJournal ? 1 : 0;
+    EXPECT_EQ(replayed, 2);
+    expectSameOutcome(reference, merged);
+    std::remove(journal.c_str());
+}
+
 TEST(SweepResume, ParallelSweepWritesAReplayableJournal)
 {
     const std::string journal = tempPath("parallel_journal.jsonl");
@@ -318,6 +307,40 @@ TEST(SweepRetry, FaultSeedsDifferPerAttemptAndPerJob)
     }
     EXPECT_NE(results[0].faultSeed, results[1].faultSeed);
     EXPECT_EQ(results[0].faultSeed, fault::mixSeed(0x1234ULL, 0, 1));
+}
+
+TEST(SweepRetry, BackoffDelaysArePinned)
+{
+    // The retry loop and the fleet's re-dispatch share jitteredBackoff,
+    // each with its own salt. These delays were recorded from the two
+    // implementations it replaced: the same grid waits the same amount.
+    constexpr std::uint64_t kRetrySalt = 0x6a69747465720000ULL;
+    constexpr std::uint64_t kRedispatchSalt = 0x666c65656a697400ULL;
+    struct Pin
+    {
+        double base;
+        std::uint64_t seed;
+        std::size_t job;
+        int draw, retryDoublings, redispatchDoublings;
+        double retry, redispatch;
+    };
+    for (const Pin &pin : {
+             Pin{0.05, 0, 0, 1, 0, 0, 0x1.2a1eaad89e995p-5,
+                 0x1.3c1c86e46b587p-5},
+             Pin{0.05, 0x5eed, 7, 2, 1, 0, 0x1.c3d9aaf6ba2c7p-5,
+                 0x1.42a0eba49692p-5},
+             Pin{0.25, 0xdeadbeef, 123, 3, 2, 1, 0x1.bb09a19822382p-1,
+                 0x1.f934fff3c2cc4p-2},
+             Pin{0.001, 1234, 31, 4, 3, 2, 0x1.ff036fcbf919ap-8,
+                 0x1.fa460d18d3c23p-9},
+         }) {
+        EXPECT_EQ(jitteredBackoff(pin.base, pin.retryDoublings, pin.seed,
+                                  kRetrySalt, pin.job, pin.draw),
+                  pin.retry);
+        EXPECT_EQ(jitteredBackoff(pin.base, pin.redispatchDoublings, pin.seed,
+                                  kRedispatchSalt, pin.job, pin.draw),
+                  pin.redispatch);
+    }
 }
 
 TEST(SweepFaults, SweepResultsDeterministicAcrossWorkerCounts)
