@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -25,6 +24,7 @@
 #include "harness/harness.h"
 #include "harness/report.h"
 #include "harness/sweep.h"
+#include "obs/env.h"
 #include "obs/report.h"
 #include "stats/table.h"
 
@@ -70,37 +70,19 @@ struct Options
 inline Options
 parseOptions(int argc, char **argv)
 {
-    auto positive_int = [](const char *flag, const char *text, int fallback) {
-        char *end = nullptr;
-        const long v = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || v <= 0 || v > 1'000'000) {
-            std::fprintf(stderr,
-                         "warning: ignoring %s=\"%s\" "
-                         "(want a positive integer)\n",
-                         flag, text);
-            return fallback;
-        }
-        return static_cast<int>(v);
+    // --jobs, --fleet and --smx-threads share DRS_JOBS's range.
+    auto count = [](const char *flag, const char *text, int fallback) {
+        const auto value = obs::parseInt(text, 1, exec::kMaxJobs);
+        if (!value)
+            obs::warnIgnored(flag, text, obs::wantInt(1, exec::kMaxJobs));
+        return value ? static_cast<int>(*value) : fallback;
     };
 
     Options options;
     options.jobs = exec::defaultConcurrency();
-    if (const char *s = std::getenv("DRS_SMX_THREADS"))
-        options.smxThreads =
-            positive_int("DRS_SMX_THREADS", s, options.smxThreads);
-    if (const char *s = std::getenv("DRS_FLEET"))
-        options.fleetWorkers = positive_int("DRS_FLEET", s, 0);
-    if (const char *s = std::getenv("DRS_PROGRESS")) {
-        if (std::strcmp(s, "0") == 0)
-            options.progress = false;
-        else if (std::strcmp(s, "1") == 0)
-            options.progress = true;
-        else
-            std::fprintf(stderr,
-                         "warning: ignoring DRS_PROGRESS=\"%s\" "
-                         "(want 0 or 1)\n",
-                         s);
-    }
+    obs::envInt("DRS_SMX_THREADS", &options.smxThreads, 1, exec::kMaxJobs);
+    obs::envInt("DRS_FLEET", &options.fleetWorkers, 1, exec::kMaxJobs);
+    obs::envFlag("DRS_PROGRESS", &options.progress);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -114,28 +96,22 @@ parseOptions(int argc, char **argv)
             return nullptr;
         };
         if (const char *v = value_of("--jobs"))
-            options.jobs = positive_int("--jobs", v, options.jobs);
+            options.jobs = count("--jobs", v, options.jobs);
         else if (const char *v = value_of("--fleet"))
-            options.fleetWorkers =
-                positive_int("--fleet", v, options.fleetWorkers);
+            options.fleetWorkers = count("--fleet", v, options.fleetWorkers);
         else if (const char *v = value_of("--smx-threads"))
-            options.smxThreads =
-                positive_int("--smx-threads", v, options.smxThreads);
+            options.smxThreads = count("--smx-threads", v, options.smxThreads);
         else if (const char *v = value_of("--json")) {
-            // Same strict contract as the environment knobs: a malformed
-            // (empty) value warns and is ignored rather than silently
-            // producing no report.
+            // Same strict contract as the environment knobs: an empty
+            // path warns and is ignored rather than silently producing
+            // no report.
             if (*v == '\0')
-                std::fprintf(stderr,
-                             "warning: ignoring --json with an empty "
-                             "path\n");
+                obs::warnIgnored("--json", v, "a path");
             else
                 options.jsonPath = v;
         } else if (const char *v = value_of("--journal")) {
             if (*v == '\0')
-                std::fprintf(stderr,
-                             "warning: ignoring --journal with an empty "
-                             "path\n");
+                obs::warnIgnored("--journal", v, "a path");
             else
                 options.journalPath = v;
         } else if (arg == "--resume")
@@ -317,8 +293,8 @@ makeSweepOptions(const Options &options)
     }
     if (options.progress) {
         // The ticker outlives this scope through the callback's copy.
-        // Fleet workers clear the callback after fork (workerMain), so
-        // only the in-process sweep ever paints through it.
+        // Fleet workers never fire it (they only call runJob), so only
+        // the in-process sweep ever paints through it.
         auto ticker = std::make_shared<ProgressTicker>();
         sweep.progress = [ticker](std::size_t done, std::size_t total) {
             ticker->onSweep(done, total);

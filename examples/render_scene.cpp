@@ -7,10 +7,12 @@
  * Usage: render_scene [scene] [output.ppm] [width] [height] [spp]
  */
 
-#include <cstdlib>
+#include <algorithm>
+#include <climits>
 #include <iostream>
 #include <string>
 
+#include "obs/env.h"
 #include "render/path_tracer.h"
 #include "scene/scenes.h"
 
@@ -23,14 +25,25 @@ main(int argc, char **argv)
     const std::string output =
         argc > 2 ? argv[2] : (scene_name + ".ppm");
 
+    // Film width, height and spp: positive integers, or a usage error.
+    int film[3] = {320, 240, 8};
+    for (int k = 0; k < 3 && 3 + k < argc; ++k) {
+        const auto v = obs::parseInt(argv[3 + k], 1, INT_MAX);
+        if (!v) {
+            std::cerr << "usage: render_scene [scene] [output.ppm] [width] "
+                         "[height] [spp]\n";
+            return 2;
+        }
+        film[k] = static_cast<int>(*v);
+    }
     render::RenderConfig config;
-    config.width = argc > 3 ? std::atoi(argv[3]) : 320;
-    config.height = argc > 4 ? std::atoi(argv[4]) : 240;
-    config.samplesPerPixel = argc > 5 ? std::atoi(argv[5]) : 8;
+    config.width = film[0];
+    config.height = film[1];
+    config.samplesPerPixel = film[2];
 
     float scale = 0.25f;
-    if (const char *s = std::getenv("DRS_SCALE"))
-        scale = std::max(0.01f, static_cast<float>(std::atof(s)));
+    obs::envReal("DRS_SCALE", &scale, obs::kPositive);
+    scale = std::max(0.01f, scale);
 
     std::cout << "Rendering '" << scene_name << "' at " << config.width
               << "x" << config.height << ", " << config.samplesPerPixel

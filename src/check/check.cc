@@ -1,13 +1,14 @@
 #include "check/check.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <atomic>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "kernels/trav_workspace.h"
+#include "obs/env.h"
 #include "simt/kernel.h"
 #include "simt/memory.h"
 #include "simt/sim_stats.h"
@@ -22,22 +23,16 @@ checkEnabled(int mode)
         return false;
     if (mode == 1)
         return true;
-    const char *env = std::getenv("DRS_CHECK");
+    const char *env = obs::envRaw("DRS_CHECK");
     if (env == nullptr)
         return false;
-    const std::string_view value(env);
-    if (value.empty() || value == "0")
-        return false;
-    if (value == "1")
-        return true;
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "DRS_CHECK=%s not understood (use 0 or 1); "
-                     "invariant checking stays off\n",
-                     env);
-    }
+    if (const std::optional<long long> on = obs::parseInt(env, 0, 1))
+        return *on == 1;
+    // Called from every runBatch, possibly on concurrent sweep threads:
+    // warn once, race-free.
+    static std::atomic_flag warned; // C++20: starts clear
+    if (!warned.test_and_set())
+        obs::warnIgnored("DRS_CHECK", env, "0 or 1");
     return false;
 }
 

@@ -34,9 +34,9 @@ class InvariantViolation : public std::logic_error
  * Whether invariant checking is requested.
  *
  * @param mode 0 = off, 1 = on, -1 = consult the DRS_CHECK environment
- *        variable: unset, empty or "0" is off, "1" is on; any other
- *        value warns once on stderr and stays off (fail-safe — a typo
- *        must not silently change what a run measures).
+ *        variable: unset or "0" is off, "1" is on; any other value
+ *        (empty included) warns once on stderr and stays off (fail-safe
+ *        — a typo must not silently change what a run measures).
  */
 bool checkEnabled(int mode = -1);
 

@@ -1,9 +1,8 @@
 #include "exec/thread_pool.h"
 
 #include "exec/cancel.h"
+#include "obs/env.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace drs::exec {
@@ -11,14 +10,9 @@ namespace drs::exec {
 int
 defaultConcurrency()
 {
-    if (const char *s = std::getenv("DRS_JOBS")) {
-        char *end = nullptr;
-        const long v = std::strtol(s, &end, 10);
-        if (end != s && *end == '\0' && v > 0)
-            return static_cast<int>(v);
-        std::fprintf(stderr,
-                     "[exec] warning: ignoring malformed DRS_JOBS='%s'\n", s);
-    }
+    int jobs = 0;
+    if (obs::envInt("DRS_JOBS", &jobs, 1, kMaxJobs))
+        return jobs;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }

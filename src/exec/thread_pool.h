@@ -30,10 +30,13 @@
 
 namespace drs::exec {
 
+/** Upper bound of DRS_JOBS and the benches' --jobs/--fleet/--smx-threads. */
+inline constexpr int kMaxJobs = 1'000'000;
+
 /**
  * Parallel worker count for this process: `DRS_JOBS` from the environment
- * when set to a positive integer (malformed values warn on stderr), else
- * std::thread::hardware_concurrency(), else 1.
+ * when set to an integer in [1, kMaxJobs] (malformed values warn on
+ * stderr), else std::thread::hardware_concurrency(), else 1.
  */
 int defaultConcurrency();
 

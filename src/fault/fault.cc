@@ -1,7 +1,6 @@
 #include "fault/fault.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include "obs/env.h"
 
 namespace drs::fault {
 
@@ -21,34 +20,16 @@ FaultConfig
 FaultConfig::fromEnvironment()
 {
     FaultConfig config;
-    if (const char *s = std::getenv("DRS_FAULT_SEED")) {
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(s, &end, 0);
-        if (end != s && *end == '\0')
-            config.seed = v;
-        else
-            std::fprintf(stderr,
-                         "[fault] warning: ignoring malformed "
-                         "DRS_FAULT_SEED='%s'\n",
-                         s);
-    }
+    obs::envUnsigned("DRS_FAULT_SEED", &config.seed);
     return config;
 }
 
 std::uint64_t
 watchdogCyclesFromEnvironment()
 {
-    const char *s = std::getenv("DRS_WATCHDOG");
-    if (!s)
-        return 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s, &end, 0);
-    if (end != s && *end == '\0')
-        return v;
-    std::fprintf(stderr,
-                 "[fault] warning: ignoring malformed DRS_WATCHDOG='%s'\n",
-                 s);
-    return 0;
+    std::uint64_t cycles = 0;
+    obs::envUnsigned("DRS_WATCHDOG", &cycles);
+    return cycles;
 }
 
 FaultInjector::FaultInjector(const FaultConfig &config, std::uint64_t unit_id)

@@ -72,16 +72,15 @@ struct FaultConfig
     bool enabled() const { return seed != 0; }
 
     /**
-     * Defaults overridden by DRS_FAULT_SEED (decimal or 0x-hex; 0 or
-     * unset = disabled; malformed values warn on stderr and are
-     * ignored, like every other DRS_* knob).
+     * Defaults overridden by DRS_FAULT_SEED (unsigned 64-bit; 0 or
+     * unset = disabled; parsed per obs/env.h like every DRS_* knob).
      */
     static FaultConfig fromEnvironment();
 };
 
 /**
- * Watchdog cycle budget from DRS_WATCHDOG (positive integer; 0 or
- * unset = disabled; malformed values warn and are ignored).
+ * Watchdog cycle budget from DRS_WATCHDOG (unsigned 64-bit; 0 or unset
+ * = disabled; parsed per obs/env.h).
  */
 std::uint64_t watchdogCyclesFromEnvironment();
 

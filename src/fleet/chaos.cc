@@ -1,10 +1,7 @@
 #include "fleet/chaos.h"
 
 #include "fault/fault.h"
-
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include "obs/env.h"
 
 namespace drs::fleet {
 
@@ -23,65 +20,16 @@ unitDraw(std::uint64_t seed, std::size_t job, int dispatch)
     return static_cast<double>(mixed >> 11) * 0x1.0p-53;
 }
 
-bool
-parseUint64(const char *text, std::uint64_t *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 0);
-    if (errno != 0 || end == text || *end != '\0')
-        return false;
-    *out = value;
-    return true;
-}
-
-bool
-parseDouble(const char *text, double *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0')
-        return false;
-    *out = value;
-    return true;
-}
-
 } // namespace
 
 ChaosConfig
 ChaosConfig::fromEnvironment()
 {
     ChaosConfig config;
-    if (const char *text = std::getenv("DRS_FLEET_CHAOS")) {
-        std::uint64_t seed = 0;
-        if (parseUint64(text, &seed))
-            config.seed = seed;
-        else
-            std::fprintf(stderr,
-                         "fleet: ignoring malformed DRS_FLEET_CHAOS=%s\n",
-                         text);
-    }
-    if (const char *text = std::getenv("DRS_FLEET_CHAOS_RATE")) {
-        double rate = 0.0;
-        if (parseDouble(text, &rate) && rate >= 0.0 && rate <= 1.0)
-            config.killRate = rate;
-        else
-            std::fprintf(
-                stderr,
-                "fleet: ignoring malformed DRS_FLEET_CHAOS_RATE=%s\n",
-                text);
-    }
-    if (const char *text = std::getenv("DRS_FLEET_CHAOS_KILLS")) {
-        std::uint64_t kills = 0;
-        if (parseUint64(text, &kills) && kills <= 1'000'000)
-            config.maxKillDispatches = static_cast<int>(kills);
-        else
-            std::fprintf(
-                stderr,
-                "fleet: ignoring malformed DRS_FLEET_CHAOS_KILLS=%s\n",
-                text);
-    }
+    obs::envUnsigned("DRS_FLEET_CHAOS", &config.seed);
+    obs::envReal("DRS_FLEET_CHAOS_RATE", &config.killRate, 0.0, 1.0);
+    obs::envInt("DRS_FLEET_CHAOS_KILLS", &config.maxKillDispatches, 0,
+                1'000'000);
     return config;
 }
 

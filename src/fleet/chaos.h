@@ -65,10 +65,10 @@ struct ChaosConfig
     }
 
     /**
-     * DRS_FLEET_CHAOS (seed, decimal or 0x-hex; 0/unset = off),
+     * DRS_FLEET_CHAOS (unsigned 64-bit seed; 0/unset = off),
      * DRS_FLEET_CHAOS_RATE (kill probability in [0, 1]),
-     * DRS_FLEET_CHAOS_KILLS (max kill dispatches). Malformed values
-     * warn on stderr and are ignored, like every other DRS_* knob.
+     * DRS_FLEET_CHAOS_KILLS (max kill dispatches, [0, 10^6]). Malformed
+     * values warn on stderr and are ignored (obs/env.h).
      */
     static ChaosConfig fromEnvironment();
 };

@@ -2,6 +2,7 @@
 
 #include "exec/cancel.h"
 #include "fleet/protocol.h"
+#include "obs/env.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 
@@ -44,41 +45,6 @@ secondsToDuration(double seconds)
 {
     return std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(seconds));
-}
-
-bool
-parseEnvInt(const char *name, long long min, long long max, long long *out)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const long long value = std::strtoll(text, &end, 0);
-    if (errno != 0 || end == text || *end != '\0' || value < min ||
-        value > max) {
-        std::fprintf(stderr, "fleet: ignoring malformed %s=%s\n", name, text);
-        return false;
-    }
-    *out = value;
-    return true;
-}
-
-bool
-parseEnvSeconds(const char *name, double *out)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || value < 0.0) {
-        std::fprintf(stderr, "fleet: ignoring malformed %s=%s\n", name, text);
-        return false;
-    }
-    *out = value;
-    return true;
 }
 
 // --------------------------------------------------------------------
@@ -1190,17 +1156,13 @@ FleetOptions
 FleetOptions::fromEnvironment()
 {
     FleetOptions options;
-    long long value = 0;
-    if (parseEnvInt("DRS_FLEET", 1, 1024, &value))
-        options.workers = static_cast<int>(value);
-    parseEnvSeconds("DRS_FLEET_HEARTBEAT", &options.heartbeatSeconds);
-    parseEnvSeconds("DRS_FLEET_HEARTBEAT_TIMEOUT",
-                    &options.heartbeatTimeoutSeconds);
-    if (parseEnvInt("DRS_FLEET_RESPAWNS", 0, 1'000'000, &value))
-        options.maxRespawns = static_cast<int>(value);
-    if (parseEnvInt("DRS_FLEET_QUARANTINE", 1, 1'000'000, &value))
-        options.quarantineDeaths = static_cast<int>(value);
-    parseEnvSeconds("DRS_FLEET_BACKOFF", &options.backoffSeconds);
+    obs::envReal("DRS_FLEET_HEARTBEAT", &options.heartbeatSeconds, 0.0);
+    obs::envReal("DRS_FLEET_HEARTBEAT_TIMEOUT",
+                 &options.heartbeatTimeoutSeconds, 0.0);
+    obs::envInt("DRS_FLEET_RESPAWNS", &options.maxRespawns, 0, 1'000'000);
+    obs::envInt("DRS_FLEET_QUARANTINE", &options.quarantineDeaths, 1,
+                1'000'000);
+    obs::envReal("DRS_FLEET_BACKOFF", &options.backoffSeconds, 0.0);
     const obs::TraceConfig trace = obs::TraceConfig::fromEnvironment();
     if (trace.enabled)
         options.tracePath = trace.path;

@@ -110,12 +110,12 @@ struct FleetOptions
     std::function<void(const FleetProgress &)> onProgress;
 
     /**
-     * Populate from the environment: DRS_FLEET (workers),
-     * DRS_FLEET_HEARTBEAT / DRS_FLEET_HEARTBEAT_TIMEOUT (seconds),
-     * DRS_FLEET_RESPAWNS, DRS_FLEET_QUARANTINE (deaths),
-     * DRS_FLEET_BACKOFF (seconds), DRS_TRACE (tracePath), plus
-     * ChaosConfig::fromEnvironment. Malformed values warn on stderr and
-     * keep the default.
+     * Populate from the environment: DRS_FLEET_HEARTBEAT /
+     * DRS_FLEET_HEARTBEAT_TIMEOUT (seconds), DRS_FLEET_RESPAWNS,
+     * DRS_FLEET_QUARANTINE (deaths), DRS_FLEET_BACKOFF (seconds),
+     * DRS_TRACE (tracePath), plus ChaosConfig::fromEnvironment.
+     * Malformed values warn on stderr and keep the default (obs/env.h).
+     * `workers` is the caller's (the benches' --fleet / DRS_FLEET).
      */
     static FleetOptions fromEnvironment();
 };

@@ -1,7 +1,6 @@
 #include "harness/harness.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -10,6 +9,7 @@
 #include "check/check.h"
 #include "check/reference.h"
 #include "harness/arch_plugin.h"
+#include "obs/env.h"
 
 namespace drs::harness {
 
@@ -174,40 +174,12 @@ ExperimentScale
 ExperimentScale::fromEnvironment()
 {
     ExperimentScale scale;
-    auto read_env = [](const char *name, auto &value) {
-        const char *s = std::getenv(name);
-        if (!s)
-            return;
-        // Parse strictly: a malformed or non-positive value would
-        // otherwise silently fall back to the default and corrupt a
-        // sweep without anyone noticing.
-        char *end = nullptr;
-        const double v = std::strtod(s, &end);
-        while (end && *end != '\0' &&
-               std::isspace(static_cast<unsigned char>(*end)))
-            ++end;
-        if (end == s || *end != '\0') {
-            std::fprintf(stderr,
-                         "warning: ignoring malformed %s=\"%s\" "
-                         "(not a number)\n",
-                         name, s);
-            return;
-        }
-        if (!(v > 0)) { // also catches NaN
-            std::fprintf(stderr,
-                         "warning: ignoring %s=\"%s\" "
-                         "(must be positive)\n",
-                         name, s);
-            return;
-        }
-        value = static_cast<std::remove_reference_t<decltype(value)>>(v);
-    };
-    read_env("DRS_RAYS", scale.raysPerBounce);
-    read_env("DRS_SCALE", scale.sceneScale);
-    read_env("DRS_SMX", scale.numSmx);
-    read_env("DRS_WIDTH", scale.width);
-    read_env("DRS_HEIGHT", scale.height);
-    read_env("DRS_SPP", scale.samplesPerPixel);
+    obs::envInt("DRS_RAYS", &scale.raysPerBounce, 1);
+    obs::envReal("DRS_SCALE", &scale.sceneScale, obs::kPositive);
+    obs::envInt("DRS_SMX", &scale.numSmx, 1);
+    obs::envInt("DRS_WIDTH", &scale.width, 1);
+    obs::envInt("DRS_HEIGHT", &scale.height, 1);
+    obs::envInt("DRS_SPP", &scale.samplesPerPixel, 1);
     return scale;
 }
 

@@ -189,7 +189,8 @@ CaptureResult runCapture(Arch arch, const render::PathTracer &tracer,
  * Environment-tunable experiment scale so the full paper-sized runs stay
  * reachable: DRS_RAYS (rays per bounce), DRS_SCALE (scene tessellation),
  * DRS_SMX (simulated SMX count), DRS_SPP (samples per pixel),
- * DRS_WIDTH/DRS_HEIGHT (film size).
+ * DRS_WIDTH/DRS_HEIGHT (film size). All must be positive; DRS_SCALE is
+ * the only real, the rest are integers (obs/env.h contract).
  */
 struct ExperimentScale
 {

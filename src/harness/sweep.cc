@@ -18,6 +18,7 @@
 #include "exec/cancel.h"
 #include "exec/thread_pool.h"
 #include "harness/report.h"
+#include "obs/env.h"
 #include "obs/json.h"
 #include "obs/log.h"
 
@@ -345,32 +346,11 @@ SweepOptions::fromEnvironment()
     SweepOptions options;
     options.fault = fault::FaultConfig::fromEnvironment();
     options.watchdogCycles = fault::watchdogCyclesFromEnvironment();
-    const auto positiveSeconds = [](const char *name, double *out) {
-        const char *s = std::getenv(name);
-        if (s == nullptr)
-            return;
-        char *end = nullptr;
-        const double v = std::strtod(s, &end);
-        if (end != s && *end == '\0' && v > 0)
-            *out = v;
-        else
-            std::fprintf(stderr,
-                         "[sweep] warning: ignoring malformed %s='%s'\n",
-                         name, s);
-    };
-    positiveSeconds("DRS_JOB_TIMEOUT", &options.jobTimeoutSeconds);
-    positiveSeconds("DRS_RETRY_DEADLINE", &options.retryDeadlineSeconds);
-    if (const char *s = std::getenv("DRS_CRASH_AFTER")) {
-        char *end = nullptr;
-        const long v = std::strtol(s, &end, 10);
-        if (end != s && *end == '\0' && v > 0)
-            options.crashAfter = static_cast<int>(v);
-        else
-            std::fprintf(
-                stderr,
-                "[sweep] warning: ignoring malformed DRS_CRASH_AFTER='%s'\n",
-                s);
-    }
+    obs::envReal("DRS_JOB_TIMEOUT", &options.jobTimeoutSeconds,
+                 obs::kPositive);
+    obs::envReal("DRS_RETRY_DEADLINE", &options.retryDeadlineSeconds,
+                 obs::kPositive);
+    obs::envInt("DRS_CRASH_AFTER", &options.crashAfter, 1);
     return options;
 }
 

@@ -11,6 +11,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "obs/env.h"
+
 namespace drs::obs {
 
 namespace {
@@ -105,40 +107,16 @@ LogConfig
 LogConfig::fromEnvironment()
 {
     LogConfig config;
-    if (const char *s = std::getenv("DRS_LOG")) {
-        if (*s == '\0')
-            std::fprintf(stderr,
-                         "warning: ignoring empty DRS_LOG "
-                         "(want a file path)\n");
-        else
-            config.path = s;
-    }
-    if (const char *s = std::getenv("DRS_LOG_LEVEL")) {
-        if (!parseLogLevel(s, &config.level))
-            std::fprintf(stderr,
-                         "warning: ignoring malformed DRS_LOG_LEVEL='%s' "
-                         "(want debug|info|warn|error)\n",
-                         s);
-    }
-    if (const char *s = std::getenv("DRS_LOG_STDERR")) {
-        if (!parseLogLevel(s, &config.stderrLevel))
-            std::fprintf(stderr,
-                         "warning: ignoring malformed DRS_LOG_STDERR='%s' "
-                         "(want debug|info|warn|error|off)\n",
-                         s);
-    }
-    if (const char *s = std::getenv("DRS_LOG_RATE")) {
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(s, &end, 10);
-        if (errno != 0 || end == s || *end != '\0' || v < 0 || v > 1'000'000)
-            std::fprintf(stderr,
-                         "warning: ignoring malformed DRS_LOG_RATE='%s' "
-                         "(want a non-negative event count)\n",
-                         s);
-        else
-            config.maxEventsPerWindow = static_cast<int>(v);
-    }
+    envText("DRS_LOG", &config.path);
+    const auto level = [](std::string_view text) {
+        LogLevel value = LogLevel::Info;
+        return parseLogLevel(text, &value) ? std::optional(value)
+                                           : std::nullopt;
+    };
+    envRead("DRS_LOG_LEVEL", &config.level, level, "debug|info|warn|error");
+    envRead("DRS_LOG_STDERR", &config.stderrLevel, level,
+            "debug|info|warn|error|off");
+    envInt("DRS_LOG_RATE", &config.maxEventsPerWindow, 0, 1'000'000);
     return config;
 }
 

@@ -1,56 +1,19 @@
 #include "obs/sampler.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 
+#include "obs/env.h"
 #include "obs/json.h"
 
 namespace drs::obs {
-
-namespace {
-
-// Strict positive-integer env parsing, same warn-and-ignore contract as
-// DRS_TRACE_CAPACITY.
-bool
-parsePositive(const char *name, const char *s, long long *out)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    while (end && *end != '\0' &&
-           std::isspace(static_cast<unsigned char>(*end)))
-        ++end;
-    if (end == s || *end != '\0' || v <= 0) {
-        std::fprintf(stderr,
-                     "warning: ignoring malformed %s=\"%s\" "
-                     "(want a positive integer)\n",
-                     name, s);
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
-} // namespace
 
 SampleConfig
 SampleConfig::fromEnvironment()
 {
     SampleConfig config;
-    if (const char *s = std::getenv("DRS_SAMPLE")) {
-        long long v = 0;
-        if (parsePositive("DRS_SAMPLE", s, &v)) {
-            config.enabled = true;
-            config.interval = static_cast<std::uint64_t>(v);
-        }
-    }
-    if (const char *s = std::getenv("DRS_SAMPLE_CAPACITY")) {
-        long long v = 0;
-        if (parsePositive("DRS_SAMPLE_CAPACITY", s, &v))
-            config.capacity = static_cast<std::size_t>(v);
-    }
+    config.enabled = envInt("DRS_SAMPLE", &config.interval, 1);
+    envInt("DRS_SAMPLE_CAPACITY", &config.capacity, 1);
     return config;
 }
 

@@ -41,8 +41,8 @@ struct SampleConfig
 
     /**
      * DRS_SAMPLE=<cycles> enables sampling at that window size;
-     * DRS_SAMPLE_CAPACITY overrides the frame budget. Malformed values
-     * warn and are ignored (same contract as DRS_TRACE_CAPACITY).
+     * DRS_SAMPLE_CAPACITY overrides the frame budget. Both are positive
+     * integers; malformed values warn and are ignored (obs/env.h).
      */
     static SampleConfig fromEnvironment();
 };

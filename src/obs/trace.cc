@@ -1,13 +1,11 @@
 #include "obs/trace.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <set>
 
 #include "obs/attribution.h"
+#include "obs/env.h"
 #include "obs/json.h"
 #include "obs/sampler.h"
 
@@ -53,33 +51,8 @@ TraceConfig
 TraceConfig::fromEnvironment()
 {
     TraceConfig config;
-    if (const char *path = std::getenv("DRS_TRACE")) {
-        // Strict: an empty value is almost certainly a scripting mistake
-        // (e.g. DRS_TRACE= left over); warn instead of tracing nowhere.
-        if (*path == '\0') {
-            std::fprintf(stderr,
-                         "warning: ignoring empty DRS_TRACE "
-                         "(want an output path)\n");
-        } else {
-            config.enabled = true;
-            config.path = path;
-        }
-    }
-    if (const char *s = std::getenv("DRS_TRACE_CAPACITY")) {
-        char *end = nullptr;
-        const long long v = std::strtoll(s, &end, 10);
-        while (end && *end != '\0' &&
-               std::isspace(static_cast<unsigned char>(*end)))
-            ++end;
-        if (end == s || *end != '\0' || v <= 0) {
-            std::fprintf(stderr,
-                         "warning: ignoring malformed DRS_TRACE_CAPACITY"
-                         "=\"%s\" (want a positive integer)\n",
-                         s);
-        } else {
-            config.capacity = static_cast<std::size_t>(v);
-        }
-    }
+    config.enabled = envText("DRS_TRACE", &config.path);
+    envInt("DRS_TRACE_CAPACITY", &config.capacity, 1);
     return config;
 }
 

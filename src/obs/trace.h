@@ -111,7 +111,7 @@ struct TraceConfig
     std::string path;
     std::size_t capacity = 65536;
 
-    /** Read DRS_TRACE / DRS_TRACE_CAPACITY; strict parse, warn+ignore. */
+    /** Read DRS_TRACE / DRS_TRACE_CAPACITY; strict parse (obs/env.h). */
     static TraceConfig fromEnvironment();
 };
 

@@ -9,9 +9,11 @@
  * architecture).
  */
 
+#include <atomic>
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,6 +117,19 @@ TEST(CheckEnabled, EnvironmentParsing)
     // Anything else is fail-safe off (with a one-time warning), never a
     // silent "on": a typo must not change what a run measures.
     env.set("yes");
+    // Sweep threads call it concurrently, so the first (warning) call
+    // can come from several threads at once: the warn-once flag must be
+    // race-free (the check label runs under TSan).
+    std::vector<std::thread> threads;
+    std::atomic<int> enabled{0};
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&] {
+            for (int i = 0; i < 100; ++i)
+                enabled += checkEnabled(-1) ? 1 : 0;
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(enabled.load(), 0);
     EXPECT_FALSE(checkEnabled(-1));
 }
 

@@ -35,10 +35,13 @@ TEST(DefaultConcurrency, IgnoresMalformedDrsJobs)
     }();
     EXPECT_GE(fallback, 1);
 
-    for (const char *bad : {"banana", "-3", "0", "4x", ""}) {
+    for (const char *bad :
+         {"banana", "-3", "0", "4x", "", "4294967297", "2.5"}) {
         setenv("DRS_JOBS", bad, 1);
         EXPECT_EQ(defaultConcurrency(), fallback) << "DRS_JOBS=" << bad;
     }
+    setenv("DRS_JOBS", "4 ", 1);
+    EXPECT_EQ(defaultConcurrency(), 4);
     unsetenv("DRS_JOBS");
 }
 

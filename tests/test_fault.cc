@@ -173,6 +173,8 @@ TEST(Watchdog, CyclesFromEnvironment)
     EXPECT_EQ(fault::watchdogCyclesFromEnvironment(), 123456u);
     ::setenv("DRS_WATCHDOG", "nope", 1);
     EXPECT_EQ(fault::watchdogCyclesFromEnvironment(), 0u);
+    ::setenv("DRS_WATCHDOG", "-5", 1);
+    EXPECT_EQ(fault::watchdogCyclesFromEnvironment(), 0u);
     ::unsetenv("DRS_WATCHDOG");
     EXPECT_EQ(fault::watchdogCyclesFromEnvironment(), 0u);
 }

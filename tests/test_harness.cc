@@ -168,7 +168,8 @@ TEST(ExperimentScale, RejectsMalformedEnvironmentValues)
     // Not-a-number, trailing garbage, and non-positive values must all
     // be ignored (with a stderr warning) instead of silently becoming 0
     // or a truncated prefix.
-    for (const char *bad : {"lots", "12oo", "-5", "0", "nan", ""}) {
+    for (const char *bad : {"lots", "12oo", "-5", "0", "nan", "", "2.5",
+                            "1e10"}) {
         setenv("DRS_RAYS", bad, 1);
         setenv("DRS_SMX", bad, 1);
         const auto scale = ExperimentScale::fromEnvironment();

@@ -3,18 +3,21 @@
  * Unit tests of the observability layer: the counter registry and its
  * order-independent snapshots, the JSON container (writer + strict
  * parser), the ring-buffered cycle tracer with its Chrome trace_event
- * output, bench-report schema validation, and strict parsing of the
- * DRS_TRACE / DRS_TRACE_CAPACITY environment variables (same
- * warn-and-ignore contract as ExperimentScale).
+ * output, bench-report schema validation, the shared DRS_* knob parser
+ * (obs/env.h) and strict parsing of the DRS_TRACE / DRS_TRACE_CAPACITY
+ * environment variables.
  */
 
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "obs/counters.h"
+#include "obs/env.h"
 #include "obs/json.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -259,6 +262,65 @@ TEST_F(TraceEnvironment, MalformedCapacityIsRejected)
     // Trailing whitespace is harmless (same contract as DRS_SMX).
     setenv("DRS_TRACE_CAPACITY", "512 ", 1);
     EXPECT_EQ(TraceConfig::fromEnvironment().capacity, 512u);
+}
+
+// ------------------------------------------------------------ knob parser
+
+TEST(KnobParser, PinsTheSharedContract)
+{
+    using I = std::optional<long long>;
+    const std::pair<const char *, I> ints[] = {
+        {"42", 42},       {" 42\t", 42},   // surrounding whitespace
+        {"+7", 7},        {"0x1f", 31},    {"0XFF", 255},
+        {"010", 10},                       // decimal, never octal
+        {"-8", -8},       {"255", 255},    // range edges of [-8, 255]
+        {"-9", I{}},      {"256", I{}},    {"0x100", I{}},
+        {"2.5", I{}},     {"1e2", I{}},    {"12oo", I{}},
+        {"4 2", I{}},     {"0x", I{}},     {"0x-1", I{}},
+        {"+", I{}},       {"--1", I{}},    {"", I{}},
+        {"  ", I{}},
+    };
+    for (const auto &[text, want] : ints)
+        EXPECT_EQ(parseInt(text, -8, 255), want) << '"' << text << '"';
+
+    constexpr long long kMin = std::numeric_limits<long long>::min();
+    constexpr long long kMax = std::numeric_limits<long long>::max();
+    const std::pair<const char *, I> overflow[] = {
+        {"9223372036854775807", kMax},  {"-9223372036854775808", kMin},
+        {"9223372036854775808", I{}},   {"-9223372036854775809", I{}},
+        {"99999999999999999999", I{}},  {"0x10000000000000000", I{}},
+    };
+    for (const auto &[text, want] : overflow)
+        EXPECT_EQ(parseInt(text, kMin, kMax), want) << '"' << text << '"';
+
+    using U = std::optional<std::uint64_t>;
+    const std::pair<const char *, U> unsigneds[] = {
+        {"18446744073709551615", ~0ull}, {"18446744073709551616", U{}},
+        {" 0xbeef ", 0xbeefull},         {"010", 10ull},
+        {"-5", U{}},                     {"+5", U{}},
+        {"", U{}},
+    };
+    for (const auto &[text, want] : unsigneds)
+        EXPECT_EQ(parseUnsigned(text), want) << '"' << text << '"';
+
+    using R = std::optional<double>;
+    const std::pair<const char *, R> reals[] = {
+        {"0.25", 0.25}, {" 1 ", 1.0},   {"+0.5", 0.5},  {"1e-1", 0.1},
+        {"0", 0.0},     {"1.5", R{}},   {"-0.1", R{}},  {"nan", R{}},
+        {"inf", R{}},   {"1e400", R{}}, {"+-1", R{}},   {"0.5x", R{}},
+        {"", R{}},
+    };
+    for (const auto &[text, want] : reals)
+        EXPECT_EQ(parseReal(text, 0.0, 1.0), want) << '"' << text << '"';
+    EXPECT_FALSE(parseReal("0", kPositive, 1.0));
+    EXPECT_TRUE(parseReal("1e-300", kPositive, 1.0));
+
+    // 0|1 flags are integers in [0, 1].
+    const std::pair<const char *, I> flags[] = {
+        {"0", 0}, {" 1 ", 1}, {"yes", I{}}, {"2", I{}}, {"", I{}},
+    };
+    for (const auto &[text, want] : flags)
+        EXPECT_EQ(parseInt(text, 0, 1), want) << '"' << text << '"';
 }
 
 // ------------------------------------------------------------ bench report

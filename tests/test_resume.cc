@@ -103,6 +103,8 @@ TEST(SweepOptions, FromEnvironmentParsesKnobs)
     options = SweepOptions::fromEnvironment();
     EXPECT_DOUBLE_EQ(options.jobTimeoutSeconds, 0.0);
     EXPECT_EQ(options.crashAfter, 0);
+    ::setenv("DRS_CRASH_AFTER", "4294967298", 1);
+    EXPECT_EQ(SweepOptions::fromEnvironment().crashAfter, 0);
 
     ::unsetenv("DRS_JOB_TIMEOUT");
     ::unsetenv("DRS_CRASH_AFTER");

@@ -28,6 +28,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +38,7 @@
 #include <utility>
 
 #include "harness/sweep.h"
+#include "obs/env.h"
 #include "obs/json.h"
 
 namespace {
@@ -60,10 +62,10 @@ main(int argc, char **argv)
         if (arg == "--expect") {
             if (i + 1 >= argc)
                 return usage();
-            char *end = nullptr;
-            expect = std::strtoll(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || expect < 0)
+            const auto v = drs::obs::parseInt(argv[++i], 0, LLONG_MAX);
+            if (!v)
                 return usage();
+            expect = *v;
         } else if (path.empty()) {
             path = arg;
         } else {

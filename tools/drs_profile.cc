@@ -14,6 +14,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/env.h"
 #include "obs/json.h"
 #include "obs/report.h"
 #include "stats/table.h"
@@ -334,9 +336,12 @@ main(int argc, char **argv)
         if (arg == "--trace" && i + 1 < argc) {
             traces.push_back(argv[++i]);
         } else if (arg == "--top" && i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v > 0)
-                top_k = static_cast<std::size_t>(v);
+            const auto v = drs::obs::parseInt(argv[++i], 1, LLONG_MAX);
+            if (!v) {
+                std::fprintf(stderr, "drs_profile: bad --top %s\n", argv[i]);
+                return 2;
+            }
+            top_k = static_cast<std::size_t>(*v);
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: drs_profile BENCH_report.json [...] "
                          "[--top N] [--trace trace.json]\n";

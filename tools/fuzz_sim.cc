@@ -19,11 +19,13 @@
 
 #include <atomic>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +35,7 @@
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
 #include "obs/attribution.h"
+#include "obs/env.h"
 #include "obs/sampler.h"
 #include "harness/report.h"
 #include "harness/sweep.h"
@@ -223,15 +226,14 @@ runCase(const FuzzCase &c, drs::harness::PreparedSceneCache &cache)
 }
 
 std::uint64_t
-parseU64(const char *text)
+parseU64(const char *text, std::uint64_t max = UINT64_MAX)
 {
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "fuzz_sim: not a number: %s\n", text);
+    const std::optional<std::uint64_t> value = drs::obs::parseUnsigned(text);
+    if (!value || *value > max) {
+        std::fprintf(stderr, "fuzz_sim: bad number: %s\n", text);
         std::exit(2);
     }
-    return value;
+    return *value;
 }
 
 } // namespace
@@ -249,11 +251,11 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--configs" && has_value) {
-            configs = static_cast<int>(parseU64(argv[++i]));
+            configs = static_cast<int>(parseU64(argv[++i], INT_MAX));
         } else if (arg == "--seed" && has_value) {
             master_seed = parseU64(argv[++i]);
         } else if (arg == "--jobs" && has_value) {
-            jobs = static_cast<int>(parseU64(argv[++i]));
+            jobs = static_cast<int>(parseU64(argv[++i], INT_MAX));
         } else if (arg == "--replay" && has_value) {
             replay = true;
             replay_seed = parseU64(argv[++i]);
