@@ -2,9 +2,11 @@
 
 /**
  * @file
- * Wavefront path tracer. Traces all paths of an image bounce-by-bounce,
- * which is exactly the structure the paper's experiments need: after each
- * bounce the surviving rays form the next BounceRays batch of the capture.
+ * Path tracer over one scene. Every path is a pure function of its pixel,
+ * sample index and seed, and is walked start to finish on its own
+ * (megakernel order). render() accumulates the image; capture() records
+ * each path's bounce-b ray into the BounceRays batch of bounce b, which is
+ * the per-bounce trace the paper's experiments consume.
  *
  * The light-transport model is intentionally simple (Lambertian BSDF with
  * a small specular mixture, emissive area lights, no next-event
@@ -13,7 +15,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -47,7 +48,7 @@ struct CoherenceStats
 };
 
 /**
- * A wavefront path tracer bound to one scene.
+ * A path tracer bound to one scene.
  *
  * Typical use: construct, then either render() a full image or capture()
  * a per-bounce ray trace for the simulator experiments.
@@ -55,6 +56,10 @@ struct CoherenceStats
 class PathTracer
 {
   public:
+    /**
+     * @throws std::invalid_argument naming the field when width, height,
+     *         samplesPerPixel or maxDepth is below 1.
+     */
     PathTracer(const scene::Scene &scene, const RenderConfig &config = {});
 
     /** The acceleration structure built over the scene. */
@@ -76,11 +81,18 @@ class PathTracer
     Image render() const;
 
     /**
-     * Capture the per-bounce ray streams of a full render.
+     * Capture the per-bounce ray streams of a render.
      *
-     * @param max_rays_per_bounce optional cap: bounces are truncated to
-     *        this many rays (the paper evaluates "two million rays for
-     *        each bounce"); 0 means unlimited.
+     * Batch b holds the bounce-b rays of the paths in (y, x, sample)
+     * order, cut to the first @p max_rays_per_bounce of them (the paper
+     * evaluates "two million rays for each bounce"); 0 means unlimited.
+     * The batches are the same as those of a full render truncated
+     * afterwards, ray for ray.
+     *
+     * Only the paths needed to fill the batches are traced: the walk
+     * stops once batch maxDepth is full, and a bounce-maxDepth ray is
+     * recorded but never traced. Trailing bounces no path reaches are
+     * absent.
      */
     RayTrace capture(std::size_t max_rays_per_bounce = 0) const;
 
@@ -89,6 +101,16 @@ class PathTracer
 
   private:
     struct PathState;
+
+    /**
+     * Walk path (@p x, @p y, sample @p s): seed its sampler, generate its
+     * camera ray, then trace and shade it bounce by bounce.
+     * @p visit(bounce, ray) sees the ray of each bounce (1-based) before
+     * it is traced and returns whether to trace it; the walk ends at the
+     * first false, when the path terminates, or after maxDepth bounces.
+     */
+    template <typename Visit>
+    PathState walkPath(int x, int y, int s, Visit &&visit) const;
 
     /** Shade a hit and produce the continuation ray, if the path survives. */
     std::optional<geom::Ray> shade(PathState &path, const geom::Ray &ray,

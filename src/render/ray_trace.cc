@@ -1,5 +1,6 @@
 #include "render/ray_trace.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -10,6 +11,13 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x44525354; // "DRST"
 constexpr std::uint32_t kVersion = 1;
+
+/**
+ * Most elements load() allocates ahead of reading them. The counts in a
+ * stream are untrusted: a corrupt one must end in "truncated", not in an
+ * allocation sized by it.
+ */
+constexpr std::size_t kLoadChunk = 1u << 16;
 
 template <typename T>
 void
@@ -80,18 +88,24 @@ load(std::istream &is)
 
     RayTrace trace;
     const auto name_len = readPod<std::uint32_t>(is);
-    trace.sceneName.resize(name_len);
-    is.read(trace.sceneName.data(), name_len);
-    if (!is)
-        throw std::runtime_error("truncated ray trace stream");
+    while (trace.sceneName.size() < name_len) {
+        const std::size_t done = trace.sceneName.size();
+        const std::size_t n =
+            std::min<std::size_t>(name_len - done, kLoadChunk);
+        trace.sceneName.resize(done + n);
+        is.read(trace.sceneName.data() + done,
+                static_cast<std::streamsize>(n));
+        if (!is)
+            throw std::runtime_error("truncated ray trace stream");
+    }
 
     const auto bounce_count = readPod<std::uint32_t>(is);
-    trace.bounces.reserve(bounce_count);
+    trace.bounces.reserve(std::min<std::size_t>(bounce_count, kLoadChunk));
     for (std::uint32_t i = 0; i < bounce_count; ++i) {
         BounceRays b;
         b.bounce = readPod<std::int32_t>(is);
         const auto ray_count = readPod<std::uint64_t>(is);
-        b.rays.reserve(ray_count);
+        b.rays.reserve(std::min<std::uint64_t>(ray_count, kLoadChunk));
         for (std::uint64_t j = 0; j < ray_count; ++j) {
             geom::Ray r;
             r.origin = readPod<geom::Vec3>(is);

@@ -45,7 +45,11 @@ struct RayTrace
 /** Serialize @p trace to a binary stream. */
 void save(const RayTrace &trace, std::ostream &os);
 
-/** Deserialize a trace; throws std::runtime_error on malformed input. */
+/**
+ * Deserialize a trace; throws std::runtime_error on malformed input. The
+ * counts in the stream are not trusted for allocation: a count larger
+ * than the data that follows reads as a truncated stream.
+ */
 RayTrace load(std::istream &is);
 
 } // namespace drs::render

@@ -4,7 +4,9 @@
  * and serialization — the "PBRT black box" substitute.
  */
 
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -94,6 +96,177 @@ smallConfig()
     config.height = 30;
     config.samplesPerPixel = 1;
     return config;
+}
+
+/** FNV-1a over raw bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t n)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/** Digest of every bounce number, batch size and ray field, in order. */
+std::uint64_t
+digest(const render::RayTrace &trace)
+{
+    std::uint64_t h = kFnvOffset;
+    for (const auto &b : trace.bounces) {
+        const std::int32_t bounce = b.bounce;
+        const std::uint64_t size = b.rays.size();
+        h = fnv1a(h, &bounce, sizeof bounce);
+        h = fnv1a(h, &size, sizeof size);
+        for (const Ray &r : b.rays) {
+            h = fnv1a(h, &r.origin, sizeof r.origin);
+            h = fnv1a(h, &r.tMin, sizeof r.tMin);
+            h = fnv1a(h, &r.direction, sizeof r.direction);
+            h = fnv1a(h, &r.tMax, sizeof r.tMax);
+        }
+    }
+    return h;
+}
+
+/** Digest of every pixel's mean radiance, row by row. */
+std::uint64_t
+digest(const render::Image &image)
+{
+    std::uint64_t h = kFnvOffset;
+    for (int y = 0; y < image.height(); ++y)
+        for (int x = 0; x < image.width(); ++x) {
+            const Vec3 p = image.pixel(x, y);
+            h = fnv1a(h, &p.x, sizeof p.x);
+            h = fnv1a(h, &p.y, sizeof p.y);
+            h = fnv1a(h, &p.z, sizeof p.z);
+        }
+    return h;
+}
+
+/** Bit identity (unlike ==, tells -0 from +0 and matches equal NaNs). */
+bool
+sameRay(const Ray &a, const Ray &b)
+{
+    static_assert(sizeof(Ray) == 8 * sizeof(float), "Ray has padding");
+    return std::memcmp(&a, &b, sizeof(Ray)) == 0;
+}
+
+TEST(PathTracer, RejectsNonPositiveDimensions)
+{
+    const scene::Scene s = scene::makeTestScene();
+    const std::pair<const char *, int render::RenderConfig::*> fields[] = {
+        {"width", &render::RenderConfig::width},
+        {"height", &render::RenderConfig::height},
+        {"samplesPerPixel", &render::RenderConfig::samplesPerPixel},
+        {"maxDepth", &render::RenderConfig::maxDepth},
+    };
+    for (const auto &[name, field] : fields) {
+        for (int bad : {0, -1}) {
+            render::RenderConfig config = smallConfig();
+            config.*field = bad;
+            try {
+                render::PathTracer tracer(s, config);
+                ADD_FAILURE() << name << " = " << bad << " was accepted";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(name),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+TEST(PathTracer, RenderImageIsPinned)
+{
+    // Recorded from the wavefront implementation this per-path walk
+    // replaced: sharing the walk with capture() must not move a pixel.
+    const scene::Scene s = scene::makeTestScene();
+    render::RenderConfig config = smallConfig();
+    config.samplesPerPixel = 2;
+    EXPECT_EQ(digest(render::PathTracer(s, config).render()),
+              0x4ee8032dfbbf67ddull);
+}
+
+TEST(PathTracer, CaptureDigestsArePinned)
+{
+    // Recorded from the wavefront implementation, which traced every path
+    // through every bounce and truncated afterwards.
+    const scene::Scene s = scene::makeConferenceScene(0.05f);
+    render::RenderConfig config;
+    config.width = 160;
+    config.height = 120;
+    config.samplesPerPixel = 1;
+    const render::PathTracer tracer(s, config);
+    EXPECT_EQ(digest(tracer.capture(0)), 0xc608ed3bbe05b9d0ull);
+    EXPECT_EQ(digest(tracer.capture(2048)), 0x646257aab7edfd6eull);
+}
+
+TEST(PathTracer, CappedCaptureIsPrefixOfUncapped)
+{
+    struct Case
+    {
+        const char *name;
+        scene::Scene scene;
+        int width;
+        int height;
+    };
+    const Case cases[] = {
+        {"test", scene::makeTestScene(), 40, 30},
+        {"conference (closed)", scene::makeConferenceScene(0.05f), 160, 120},
+        {"fairy (open)", scene::makeFairyScene(0.05f), 160, 120},
+    };
+    for (const Case &c : cases) {
+        for (int spp : {1, 2}) {
+            render::RenderConfig config;
+            config.width = c.width;
+            config.height = c.height;
+            config.samplesPerPixel = spp;
+            const render::PathTracer tracer(c.scene, config);
+            const render::RayTrace full = tracer.capture(0);
+            ASSERT_EQ(full.bounces.size(), 8u) << c.name;
+            const std::size_t largest = full.bounces[0].size();
+            for (std::size_t cap : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{100}, largest,
+                                    largest + 1}) {
+                SCOPED_TRACE(std::string(c.name) + " spp " +
+                             std::to_string(spp) + " cap " +
+                             std::to_string(cap));
+                const render::RayTrace capped = tracer.capture(cap);
+                EXPECT_EQ(capped.sceneName, full.sceneName);
+                ASSERT_EQ(capped.bounces.size(), full.bounces.size());
+                for (std::size_t b = 0; b < full.bounces.size(); ++b) {
+                    const auto &want = full.bounces[b];
+                    const auto &got = capped.bounces[b];
+                    EXPECT_EQ(got.bounce, want.bounce);
+                    ASSERT_EQ(got.size(), std::min(cap, want.size()));
+                    for (std::size_t i = 0; i < got.size(); ++i)
+                        ASSERT_TRUE(sameRay(got.rays[i], want.rays[i]))
+                            << "bounce " << got.bounce << " ray " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(PathTracer, MaxDepthOneCapturesExactlyThePrimaryRays)
+{
+    const scene::Scene s = scene::makeTestScene();
+    render::RenderConfig config = smallConfig();
+    config.samplesPerPixel = 2;
+    const render::RayTrace deep = render::PathTracer(s, config).capture();
+    config.maxDepth = 1;
+    const render::RayTrace primary = render::PathTracer(s, config).capture();
+    ASSERT_EQ(primary.bounces.size(), 1u);
+    EXPECT_EQ(primary.bounces[0].bounce, 1);
+    ASSERT_EQ(primary.bounces[0].size(), 40u * 30u * 2u);
+    for (std::size_t i = 0; i < primary.bounces[0].size(); ++i)
+        ASSERT_TRUE(sameRay(primary.bounces[0].rays[i],
+                            deep.bounces[0].rays[i]))
+            << "ray " << i;
 }
 
 TEST(PathTracer, RenderProducesLight)
@@ -212,6 +385,45 @@ TEST(RayTrace, LoadRejectsTruncated)
     bytes.resize(bytes.size() / 2);
     std::stringstream cut(bytes);
     EXPECT_THROW(render::load(cut), std::runtime_error);
+}
+
+/** A trace stream header followed by @p tail (raw little-endian PODs). */
+template <typename... Fields>
+std::stringstream
+rawStream(const Fields &...tail)
+{
+    std::stringstream stream;
+    const auto put = [&stream](const auto &v) {
+        stream.write(reinterpret_cast<const char *>(&v), sizeof v);
+    };
+    put(std::uint32_t{0x44525354}); // "DRST"
+    put(std::uint32_t{1});          // version
+    (put(tail), ...);
+    return stream;
+}
+
+TEST(RayTrace, LoadRejectsOversizedNameLength)
+{
+    auto stream = rawStream(std::numeric_limits<std::uint32_t>::max());
+    EXPECT_THROW(render::load(stream), std::runtime_error);
+}
+
+TEST(RayTrace, LoadRejectsOversizedBounceCount)
+{
+    auto stream = rawStream(std::uint32_t{0},
+                            std::numeric_limits<std::uint32_t>::max());
+    EXPECT_THROW(render::load(stream), std::runtime_error);
+}
+
+TEST(RayTrace, LoadRejectsOversizedRayCount)
+{
+    for (std::uint64_t count : {std::uint64_t{1} << 33,
+                                std::uint64_t{1} << 62,
+                                std::numeric_limits<std::uint64_t>::max()}) {
+        auto stream = rawStream(std::uint32_t{0}, std::uint32_t{1},
+                                std::int32_t{1}, count);
+        EXPECT_THROW(render::load(stream), std::runtime_error) << count;
+    }
 }
 
 TEST(RayTrace, MissingBounceThrows)
