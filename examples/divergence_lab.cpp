@@ -9,11 +9,12 @@
  * Usage: divergence_lab [scene] [bounces]
  */
 
-#include <cstdlib>
+#include <climits>
 #include <iostream>
 #include <string>
 
 #include "harness/harness.h"
+#include "obs/env.h"
 #include "stats/table.h"
 
 int
@@ -22,7 +23,17 @@ main(int argc, char **argv)
     using namespace drs;
 
     const std::string scene_name = argc > 1 ? argv[1] : "sponza";
-    const int bounces = argc > 2 ? std::atoi(argv[2]) : 3;
+    int bounces = 3;
+    if (argc > 2) {
+        const auto v = obs::parseInt(argv[2], 1, INT_MAX);
+        if (!v) {
+            std::cerr << "divergence_lab: bounces must be "
+                      << obs::wantInt(1, INT_MAX) << ", got \"" << argv[2]
+                      << "\"\n";
+            return 2;
+        }
+        bounces = static_cast<int>(*v);
+    }
 
     harness::ExperimentScale scale =
         harness::ExperimentScale::fromEnvironment();

@@ -10,11 +10,13 @@
  * Usage: futurework_generic [tasks] [phaseA-max] [phaseB-max]
  */
 
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 
 #include "core/drs_control.h"
 #include "kernels/generic_kernel.h"
+#include "obs/env.h"
 #include "simt/smx.h"
 #include "stats/table.h"
 
@@ -23,12 +25,28 @@ main(int argc, char **argv)
 {
     using namespace drs;
 
+    // Argument @p index as an integer in [min, INT_MAX], @p fallback when
+    // absent; a malformed one is a usage error naming the argument.
+    const auto number = [&](int index, const char *name, long long min,
+                            long long fallback) {
+        if (argc <= index)
+            return fallback;
+        const auto v = obs::parseInt(argv[index], min, INT_MAX);
+        if (!v) {
+            std::cerr << "futurework_generic: " << name << " must be "
+                      << obs::wantInt(min, INT_MAX) << ", got \""
+                      << argv[index] << "\"\n";
+            std::exit(2);
+        }
+        return *v;
+    };
     kernels::GenericWorkloadConfig workload;
-    workload.taskCount = argc > 1 ? static_cast<std::size_t>(
-                                        std::atoll(argv[1]))
-                                  : 65536;
-    workload.phaseAMax = argc > 2 ? std::atoi(argv[2]) : 64;
-    workload.phaseBMax = argc > 3 ? std::atoi(argv[3]) : 12;
+    workload.taskCount =
+        static_cast<std::size_t>(number(1, "tasks", 1, 65536));
+    workload.phaseAMax = static_cast<int>(
+        number(2, "phaseA-max", workload.phaseAMin, 64));
+    workload.phaseBMax = static_cast<int>(
+        number(3, "phaseB-max", workload.phaseBMin, 12));
 
     const simt::GpuConfig gpu;
     const int warps = 48;

@@ -8,11 +8,12 @@
  * Usage: quickstart [scene] [rays-per-bounce]
  */
 
-#include <cstdlib>
+#include <climits>
 #include <iostream>
 #include <string>
 
 #include "harness/harness.h"
+#include "obs/env.h"
 #include "stats/table.h"
 
 int
@@ -23,8 +24,17 @@ main(int argc, char **argv)
     const std::string scene_name = argc > 1 ? argv[1] : "conference";
     harness::ExperimentScale scale =
         harness::ExperimentScale::fromEnvironment();
-    if (argc > 2)
-        scale.raysPerBounce = static_cast<std::size_t>(std::atoll(argv[2]));
+    if (argc > 2) {
+        // A malformed count must not fall through to 0 ("no cap").
+        const auto rays = obs::parseInt(argv[2], 1, INT_MAX);
+        if (!rays) {
+            std::cerr << "quickstart: rays-per-bounce must be "
+                      << obs::wantInt(1, INT_MAX) << ", got \"" << argv[2]
+                      << "\"\n";
+            return 2;
+        }
+        scale.raysPerBounce = static_cast<std::size_t>(*rays);
+    }
 
     std::cout << "Building scene '" << scene_name << "' (scale "
               << scale.sceneScale << ") ...\n";

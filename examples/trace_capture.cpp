@@ -8,7 +8,7 @@
  * Usage: trace_capture [scene] [trace-file] [arch] [bounce]
  */
 
-#include <cstdlib>
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -16,6 +16,7 @@
 
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
+#include "obs/env.h"
 
 int
 main(int argc, char **argv)
@@ -26,7 +27,17 @@ main(int argc, char **argv)
     const std::string path =
         argc > 2 ? argv[2] : (scene_name + ".drstrace");
     const std::string arch_name = argc > 3 ? argv[3] : "drs";
-    const int bounce = argc > 4 ? std::atoi(argv[4]) : 2;
+    int bounce = 2;
+    if (argc > 4) {
+        const auto v = obs::parseInt(argv[4], 1, INT_MAX);
+        if (!v) {
+            std::cerr << "trace_capture: bounce must be "
+                      << obs::wantInt(1, INT_MAX) << ", got \"" << argv[4]
+                      << "\"\n";
+            return 2;
+        }
+        bounce = static_cast<int>(*v);
+    }
 
     // Every registered architecture replays; an unknown name fails here,
     // naming the lineup, before the capture spends any time.

@@ -473,35 +473,7 @@ TbcSmx::collectStats() const
     s.l1Data = memory_.l1DataStats();
     s.l1Texture = memory_.l1TextureStats();
     s.counters = counters_.snapshot();
-    s.counters.add("l1d.access", s.l1Data.accesses);
-    s.counters.add("l1d.miss", s.l1Data.misses);
-    s.counters.add("l1t.access", s.l1Texture.accesses);
-    s.counters.add("l1t.miss", s.l1Texture.misses);
-    if (fault_ != nullptr && fault_->enabled()) {
-        const fault::FaultCounters &f = fault_->counters();
-        s.counters.add("fault.swap_bit_flips", f.swapBitFlips);
-        s.counters.add("fault.cache_tag_flips", f.cacheTagFlips);
-        s.counters.add("fault.dram_delayed", f.dramDelayed);
-        s.counters.add("fault.dram_dropped", f.dramDropped);
-        s.counters.add("fault.alloc_failures", f.allocFailures);
-    }
-    if (check_ != nullptr) {
-        check_->checkStats(s);
-        if (attribution_) {
-            attribution_->verifyConservation();
-            if (attribution_->cycles() != cycle_)
-                throw std::logic_error(
-                    "issue attribution: ledger cycles out of step with "
-                    "the TBC SMX");
-            const std::uint64_t issued =
-                attribution_->bucketTotal(obs::SlotBucket::IssuedFull) +
-                attribution_->bucketTotal(obs::SlotBucket::IssuedPartial);
-            if (issued != histogram_.instructions())
-                throw std::logic_error(
-                    "issue attribution: issued slots disagree with the "
-                    "instruction histogram");
-        }
-    }
+    finishStats(s);
     return s;
 }
 
@@ -553,103 +525,21 @@ simt::SimStats
 runTbcGpu(const simt::GpuConfig &config, const TbcConfig &tbc,
           const std::function<std::unique_ptr<kernels::AilaKernel>(int)>
               &make_kernel,
-          const TbcRunOptions &options)
+          const simt::GpuRunOptions &options)
 {
-    simt::SharedMemorySide shared(config.memory);
-
-    // Same per-unit injector scheme as simt::runGpu — see GpuRunOptions.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    std::unique_ptr<fault::FaultInjector> sharedInjector;
-    if (options.fault.enabled()) {
-        injectors.reserve(static_cast<std::size_t>(config.numSmx));
-        for (int i = 0; i < config.numSmx; ++i)
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                options.fault, static_cast<std::uint64_t>(i)));
-        sharedInjector = std::make_unique<fault::FaultInjector>(
-            options.fault,
-            static_cast<std::uint64_t>(config.numSmx) + 0x10000u);
-        shared.setFault(sharedInjector.get());
-    }
-
-    struct Unit
-    {
-        std::unique_ptr<kernels::AilaKernel> kernel;
-        std::unique_ptr<TbcSmx> smx;
-    };
-    std::vector<Unit> units;
-    units.reserve(static_cast<std::size_t>(config.numSmx));
-    for (int i = 0; i < config.numSmx; ++i) {
-        Unit unit;
-        unit.kernel = make_kernel(i);
-        unit.smx = std::make_unique<TbcSmx>(config, tbc, *unit.kernel,
-                                            shared);
-        unit.smx->setDeferredMemory(true);
-        unit.smx->setCheck(options.check);
-        if (options.fault.enabled())
-            unit.smx->setFault(injectors[static_cast<std::size_t>(i)].get());
-        if (options.attribution != nullptr) {
-            if (i == 0) {
-                const Program &program = unit.kernel->program();
-                std::vector<std::string> names;
-                names.reserve(
-                    static_cast<std::size_t>(program.blockCount()));
-                for (int b = 0; b < program.blockCount(); ++b)
-                    names.push_back(program.block(b).name);
-                options.attribution->setBlockNames(std::move(names));
-            }
-            unit.smx->setAttribution(&options.attribution->smx(i));
-        }
-        if (options.sampler != nullptr) {
-            obs::TimeSampler &sampler = options.sampler->smx(i);
-            const obs::SampleConfig &sample = options.sampler->config();
-            sampler.enable(sample.interval, sample.capacity,
-                           options.attribution != nullptr
-                               ? &options.attribution->smx(i)
-                               : nullptr);
-            unit.smx->setSampler(&sampler);
-        }
-        units.push_back(std::move(unit));
-    }
-
-    std::vector<TbcSmx *> smxs;
-    smxs.reserve(units.size());
-    for (auto &unit : units)
-        smxs.push_back(unit.smx.get());
-    fault::Watchdog watchdog(options.watchdogCycles);
-    simt::runEngine(smxs, options.maxCycles, options.smxThreads,
-                    watchdog.enabled() ? &watchdog : nullptr,
-                    options.cancel);
-
-    simt::SimStats total;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        simt::SimStats stats = units[i].smx->collectStats();
-        if (options.perSmxStats)
-            options.perSmxStats(static_cast<int>(i), stats);
-        if (options.onSmxRetire)
-            options.onSmxRetire(static_cast<int>(i), *units[i].kernel);
-        total.merge(stats);
-    }
-    total.l2 = shared.l2Stats();
-    total.counters.add("l2.access", total.l2.accesses);
-    total.counters.add("l2.miss", total.l2.misses);
-    if (sharedInjector) {
-        const fault::FaultCounters &f = sharedInjector->counters();
-        total.counters.add("fault.cache_tag_flips", f.cacheTagFlips);
-        total.counters.add("fault.dram_delayed", f.dramDelayed);
-        total.counters.add("fault.dram_dropped", f.dramDropped);
-    }
-    return total;
-}
-
-simt::SimStats
-runTbcGpu(const simt::GpuConfig &config, const TbcConfig &tbc,
-          const std::function<std::unique_ptr<kernels::AilaKernel>(int)>
-              &make_kernel,
-          std::uint64_t max_cycles)
-{
-    TbcRunOptions options;
-    options.maxCycles = max_cycles;
-    return runTbcGpu(config, tbc, make_kernel, options);
+    if (options.trace != nullptr)
+        throw std::invalid_argument(
+            "runTbcGpu: TBC has no warp-level tracer; pass no trace "
+            "collector");
+    return simt::runGpuUnits<TbcSmx>(
+        config, options, [&](int i, simt::SharedMemorySide &shared) {
+            std::unique_ptr<kernels::AilaKernel> kernel = make_kernel(i);
+            auto smx = std::make_unique<TbcSmx>(config, tbc, *kernel, shared);
+            simt::GpuUnit<TbcSmx> unit;
+            unit.setup.kernel = std::move(kernel);
+            unit.smx = std::move(smx);
+            return unit;
+        });
 }
 
 } // namespace drs::baselines

@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "exec/cancel.h"
 #include "fault/fault.h"
 #include "kernels/aila_kernel.h"
 #include "obs/attribution.h"
@@ -25,6 +24,7 @@
 #include "obs/sampler.h"
 #include "simt/check.h"
 #include "simt/config.h"
+#include "simt/gpu.h"
 #include "simt/memory.h"
 #include "simt/sim_stats.h"
 
@@ -46,9 +46,11 @@ struct TbcConfig
  * One SMX executing the while-while kernel under TBC. Self-contained
  * executor (the block-wide stack does not fit the per-warp Smx), sharing
  * the memory system, program and workspace semantics with the rest of
- * the simulator.
+ * the simulator. Of the shared attach points, the checker also verifies
+ * block-stack structure periodically, and attribution charges the TBC
+ * barrier to the stalled-scoreboard bucket.
  */
-class TbcSmx
+class TbcSmx : public simt::SmxHooks
 {
   public:
     /**
@@ -68,33 +70,8 @@ class TbcSmx
     void run(std::uint64_t max_cycles = 2'000'000'000ULL);
     std::uint64_t cycle() const { return cycle_; }
 
-    /**
-     * Deferred-memory mode (see simt::Smx::setDeferredMemory): step()
-     * buffers shared-side requests; commitMemory() — called at the
-     * per-cycle barrier in SMX-index order — resolves them.
-     */
-    void setDeferredMemory(bool deferred) { deferredMemory_ = deferred; }
+    /** Commit buffered shared-side requests (deferred mode only). */
     void commitMemory();
-
-    /**
-     * Attach an invariant checker (see simt::Smx::setCheck): block-stack
-     * structure is verified periodically and stats at collection. Null
-     * disables checking. Not owned; must outlive the SMX.
-     */
-    void setCheck(const simt::CheckContext *check) { check_ = check; }
-
-    /**
-     * Attach an issue-slot attribution ledger (see simt::Smx): every
-     * scheduler slot of every cycle is classified, with the TBC barrier
-     * charged to the stalled-scoreboard bucket. Pure observation.
-     */
-    void setAttribution(obs::IssueAttribution *attribution)
-    {
-        attribution_ = attribution;
-    }
-
-    /** Attach a windowed time-series sampler (see simt::Smx). */
-    void setSampler(obs::TimeSampler *sampler) { sampler_ = sampler; }
 
     /**
      * Block-stack invariants: every stack is non-empty with its bottom
@@ -208,58 +185,24 @@ class TbcSmx
         simt::PendingWarpAccess pending;
     };
 
-    bool deferredMemory_ = false;
     std::vector<DeferredAccess> deferredAccesses_;
-    const simt::CheckContext *check_ = nullptr;
-    fault::FaultInjector *fault_ = nullptr;
-    obs::IssueAttribution *attribution_ = nullptr;
-    obs::TimeSampler *sampler_ = nullptr;
-};
-
-/** Execution options (mirrors simt::GpuRunOptions). */
-struct TbcRunOptions
-{
-    std::uint64_t maxCycles = 2'000'000'000ULL;
-    /** Worker threads stepping SMXs concurrently; <= 1 = sequential. */
-    int smxThreads = 1;
-    /** Per-SMX stats hook; see simt::GpuRunOptions::perSmxStats. */
-    std::function<void(int smx_index, const simt::SimStats &stats)>
-        perSmxStats;
-    /** Per-SMX kernel retirement hook (hit harvesting). */
-    std::function<void(int smx_index, kernels::AilaKernel &kernel)>
-        onSmxRetire;
-    /** Invariant checker (see simt::GpuRunOptions::check); null = off. */
-    const simt::CheckContext *check = nullptr;
-    /** Issue-slot attribution (see simt::GpuRunOptions); null = off. */
-    obs::AttributionCollector *attribution = nullptr;
-    /** Time-series sampling (see simt::GpuRunOptions); null = off. */
-    obs::SamplerCollector *sampler = nullptr;
-    /** Fault injection (see simt::GpuRunOptions::fault); seed 0 = off. */
-    fault::FaultConfig fault{};
-    /** Watchdog budget in cycles (see simt::GpuRunOptions); 0 = off. */
-    std::uint64_t watchdogCycles = 0;
-    /** Cooperative stop/deadline token (may be null). */
-    const exec::CancelToken *cancel = nullptr;
 };
 
 /**
- * Run a full ray batch on a TBC GPU (all SMXs, shared L2).
+ * Run a full ray batch on a TBC GPU (all SMXs, shared L2) through the
+ * same assembly as simt::runGpu (simt::runGpuUnits).
  *
  * @param config GPU parameters
  * @param tbc TBC parameters
  * @param make_kernel per-SMX Aila kernel factory
+ * @param options engine options; onSmxRetire receives the AilaKernel
+ * @throws std::invalid_argument when config.numSmx < 1 or options.trace
+ *         is set (TBC has no warp-level tracer)
  */
 simt::SimStats runTbcGpu(
     const simt::GpuConfig &config, const TbcConfig &tbc,
     const std::function<std::unique_ptr<kernels::AilaKernel>(int)>
         &make_kernel,
-    const TbcRunOptions &options);
-
-/** Convenience overload: sequential engine with a cycle bound. */
-simt::SimStats runTbcGpu(
-    const simt::GpuConfig &config, const TbcConfig &tbc,
-    const std::function<std::unique_ptr<kernels::AilaKernel>(int)>
-        &make_kernel,
-    std::uint64_t max_cycles = 2'000'000'000ULL);
+    const simt::GpuRunOptions &options);
 
 } // namespace drs::baselines

@@ -3,11 +3,15 @@
 /**
  * @file
  * Shared plumbing of the built-in architecture plugins (arch_builtin.cc,
- * arch_reorder.cc): GpuRunOptions assembly from a RunConfig and per-SMX
- * hit harvesting. Internal to src/harness.
+ * arch_survey.cc, arch_reorder.cc): engine options with the checker and
+ * the hit-harvesting retire hook, the striped plain-GPU run, and the Aila
+ * run the software reorderers delegate to. A plugin's run() supplies only
+ * its per-SMX kernel/controller setup. Internal to src/harness.
  */
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -56,9 +60,18 @@ harvestHits(const kernels::TravWorkspace &workspace,
               out.begin() + static_cast<std::ptrdiff_t>(first));
 }
 
-/** Engine options common to every runGpu-based architecture. */
-inline simt::GpuRunOptions
-gpuRunOptions(const RunConfig &config, const ArchObservers &observers)
+/**
+ * Engine options of one plugin run: the RunConfig plumbing, the observers
+ * and @p checker, plus a retire hook that — per SMX, in index order —
+ * verifies the KernelT's traversal workspace (under a checker), harvests
+ * its hits into config.hitsOut, then calls @p on_retire (e.g. to tally
+ * kernel-side counters). No hook is installed when none of them applies.
+ */
+template <typename KernelT>
+simt::GpuRunOptions
+gpuRunOptions(const RunConfig &config, const ArchObservers &observers,
+              const check::Checker *checker,
+              std::function<void(KernelT &)> on_retire = {})
 {
     simt::GpuRunOptions options;
     options.maxCycles = config.maxCycles;
@@ -67,10 +80,70 @@ gpuRunOptions(const RunConfig &config, const ArchObservers &observers)
     options.attribution = observers.attribution;
     options.sampler = observers.sampler;
     options.perSmxStats = config.perSmxStats;
+    options.check = checker;
     options.fault = config.fault;
     options.watchdogCycles = config.watchdogCycles;
     options.cancel = config.cancel;
+    if (config.hitsOut != nullptr || checker != nullptr || on_retire)
+        options.onSmxRetire = [hits = config.hitsOut, checker,
+                               on_retire = std::move(on_retire)](
+                                  int, simt::Kernel &kernel) {
+            auto &typed = static_cast<KernelT &>(kernel);
+            if (checker != nullptr)
+                check::verifyWorkspace(typed.travWorkspace(),
+                                       /*strict=*/true);
+            if (hits != nullptr)
+                harvestHits(typed.travWorkspace(), *hits);
+            if (on_retire)
+                on_retire(typed);
+        };
     return options;
 }
+
+/**
+ * SMX @p smx's stripe of @p rays (whole warp-sized groups, see
+ * simt::rayStripe) and the batch index of its first ray.
+ */
+inline std::pair<std::span<const geom::Ray>, std::size_t>
+smxStripe(std::span<const geom::Ray> rays, const simt::GpuConfig &gpu,
+          int smx)
+{
+    const auto [first, count] =
+        simt::rayStripe(rays.size(), gpu.numSmx, smx, gpu.simdLanes);
+    return {rays.subspan(first, count), first};
+}
+
+/**
+ * Run @p rays on the plain SIMT GPU with a KernelT on every SMX.
+ * @p make_setup(stripe, first_ray) builds one SMX's kernel and optional
+ * controller; checking, hit harvesting and @p on_retire are wired as in
+ * gpuRunOptions.
+ */
+template <typename KernelT, typename MakeSetup>
+simt::SimStats
+runStriped(std::span<const geom::Ray> rays, const RunConfig &config,
+           const ArchObservers &observers, const check::Checker *checker,
+           MakeSetup &&make_setup,
+           std::function<void(KernelT &)> on_retire = {})
+{
+    return simt::runGpu(
+        config.gpu,
+        [&](int smx) {
+            const auto [stripe, first] = smxStripe(rays, config.gpu, smx);
+            return make_setup(stripe, first);
+        },
+        gpuRunOptions<KernelT>(config, observers, checker,
+                               std::move(on_retire)));
+}
+
+/**
+ * The Aila software baseline on @p rays: the "aila" plugin's run, and
+ * the inner run of the software reorderers on their sorted batch.
+ */
+simt::SimStats runAila(const render::PathTracer &tracer,
+                       std::span<const geom::Ray> rays,
+                       const RunConfig &config,
+                       const ArchObservers &observers,
+                       const check::Checker *checker);
 
 } // namespace drs::harness::detail

@@ -82,6 +82,8 @@ class ArchPlugin
      * hitsOut (per-ray hits at the ray's batch index), perSmxStats,
      * fault/watchdog/cancel plumbing, and the observers. @p checker is
      * non-null under DRS_CHECK and must be threaded into the engine.
+     * The built-in plugins get all of this from harness/arch_detail.h
+     * and supply only their per-SMX setup.
      */
     virtual simt::SimStats run(const render::PathTracer &tracer,
                                std::span<const geom::Ray> rays,

@@ -53,33 +53,8 @@ class ReorderArchBase : public ArchPlugin
                             ? &sorted_hits
                             : nullptr;
 
-        simt::GpuRunOptions options = detail::gpuRunOptions(inner, observers);
-        options.check = checker;
-        if (inner.hitsOut != nullptr || checker != nullptr)
-            options.onSmxRetire = [&inner, checker](int,
-                                                    simt::Kernel &kernel) {
-                auto &workspace =
-                    static_cast<kernels::AilaKernel &>(kernel).travWorkspace();
-                if (checker != nullptr)
-                    check::verifyWorkspace(workspace, /*strict=*/true);
-                if (inner.hitsOut != nullptr)
-                    detail::harvestHits(workspace, *inner.hitsOut);
-            };
-        std::span<const geom::Ray> sorted_span(sorted);
-        simt::SimStats stats = simt::runGpu(
-            config.gpu,
-            [&](int smx) {
-                auto [first, count] =
-                    simt::rayStripe(sorted_span.size(), config.gpu.numSmx,
-                                    smx, config.gpu.simdLanes);
-                simt::SmxSetup setup;
-                setup.kernel = std::make_unique<kernels::AilaKernel>(
-                    tracer.bvh(), tracer.sceneTriangles(),
-                    sorted_span.subspan(first, count), first, config.aila);
-                setup.numWarps = config.aila.numWarps;
-                return setup;
-            },
-            options);
+        simt::SimStats stats =
+            detail::runAila(tracer, sorted, inner, observers, checker);
 
         if (config.hitsOut != nullptr)
             detail::scatterHits(order, sorted_hits, *config.hitsOut);

@@ -4,7 +4,8 @@
  * @file
  * The cycle-stepping engine shared by the plain GPU (simt::runGpu) and
  * the TBC baseline: sequential and parallel drivers over any SMX-like
- * type exposing done()/step()/commitMemory().
+ * type exposing done()/step()/commitMemory(), and the one GPU-run
+ * assembly (runGpuUnits) both drivers instantiate.
  *
  * Both drivers buffer shared-side (L2/DRAM) requests during a cycle's
  * step phase and commit them afterwards in SMX-index order, so the L2
@@ -19,14 +20,17 @@
 #include <barrier>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/cancel.h"
 #include "fault/fault.h"
+#include "simt/gpu.h"
 
 namespace drs::simt {
 
@@ -189,6 +193,130 @@ runEngine(const std::vector<SmxLike *> &smxs, std::uint64_t max_cycles,
         std::rethrow_exception(error);
     if (timed_out.load())
         throw std::runtime_error("GPU simulation exceeded max_cycles");
+}
+
+/** Block names of @p program in block-id order (observer labels). */
+inline std::vector<std::string>
+blockNames(const Program &program)
+{
+    std::vector<std::string> names;
+    names.reserve(static_cast<std::size_t>(program.blockCount()));
+    for (int b = 0; b < program.blockCount(); ++b)
+        names.push_back(program.block(b).name);
+    return names;
+}
+
+/**
+ * One SMX of a GPU run: the kernel and optional controller it executes
+ * and the SMX-like executor bound to them (declared last, so it is
+ * destroyed first).
+ */
+template <typename SmxLike>
+struct GpuUnit
+{
+    SmxSetup setup;
+    std::unique_ptr<SmxLike> smx;
+};
+
+/**
+ * Run one ray batch on a GPU of SmxLike executors sharing an L2 — the
+ * assembly behind simt::runGpu (Smx) and baselines::runTbcGpu (TbcSmx).
+ *
+ * Builds the shared memory side and the per-unit fault injectors, wires
+ * every SMX to the checker, its injector, the attribution ledger and the
+ * sampler of @p options, steps them with runEngine, then hands each SMX's
+ * stats and kernel to the perSmxStats / onSmxRetire hooks (in index
+ * order) and merges the stats with the shared side's "l2.*" and "fault.*"
+ * counters.
+ *
+ * @param make_unit called once per SMX index, in order, as
+ *        make_unit(index, shared); returns the unit with its executor
+ *        built over @p shared and any executor-specific wiring done
+ * @throws std::invalid_argument when config.numSmx < 1
+ */
+template <typename SmxLike, typename MakeUnit>
+SimStats
+runGpuUnits(const GpuConfig &config, const GpuRunOptions &options,
+            MakeUnit &&make_unit)
+{
+    if (config.numSmx < 1)
+        throw std::invalid_argument("GPU run: numSmx must be >= 1, got " +
+                                    std::to_string(config.numSmx));
+
+    SharedMemorySide shared(config.memory);
+
+    // One private injector per SMX plus one for the shared side. The
+    // shared injector's RNG only advances from accessLine calls, which
+    // the engines issue at the commit barrier in SMX-index order, so its
+    // fault sequence is thread-count-invariant like everything else.
+    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+    std::unique_ptr<fault::FaultInjector> sharedInjector;
+    if (options.fault.enabled()) {
+        injectors.reserve(static_cast<std::size_t>(config.numSmx));
+        for (int i = 0; i < config.numSmx; ++i)
+            injectors.push_back(std::make_unique<fault::FaultInjector>(
+                options.fault, static_cast<std::uint64_t>(i)));
+        sharedInjector = std::make_unique<fault::FaultInjector>(
+            options.fault,
+            static_cast<std::uint64_t>(config.numSmx) + 0x10000u);
+        shared.setFault(sharedInjector.get());
+    }
+
+    std::vector<GpuUnit<SmxLike>> units;
+    units.reserve(static_cast<std::size_t>(config.numSmx));
+    for (int i = 0; i < config.numSmx; ++i) {
+        GpuUnit<SmxLike> unit = make_unit(i, shared);
+        SmxLike &smx = *unit.smx;
+        smx.setDeferredMemory(true);
+        smx.setCheck(options.check);
+        if (options.fault.enabled())
+            smx.setFault(injectors[static_cast<std::size_t>(i)].get());
+        if (options.attribution != nullptr) {
+            if (i == 0)
+                options.attribution->setBlockNames(
+                    blockNames(unit.setup.kernel->program()));
+            smx.setAttribution(&options.attribution->smx(i));
+        }
+        if (options.sampler != nullptr) {
+            obs::TimeSampler &sampler = options.sampler->smx(i);
+            const obs::SampleConfig &sample = options.sampler->config();
+            sampler.enable(sample.interval, sample.capacity,
+                           options.attribution != nullptr
+                               ? &options.attribution->smx(i)
+                               : nullptr);
+            smx.setSampler(&sampler);
+        }
+        units.push_back(std::move(unit));
+    }
+
+    std::vector<SmxLike *> smxs;
+    smxs.reserve(units.size());
+    for (auto &unit : units)
+        smxs.push_back(unit.smx.get());
+    fault::Watchdog watchdog(options.watchdogCycles);
+    runEngine(smxs, options.maxCycles, options.smxThreads,
+              watchdog.enabled() ? &watchdog : nullptr, options.cancel);
+
+    SimStats total;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        SimStats stats = units[i].smx->collectStats();
+        if (options.perSmxStats)
+            options.perSmxStats(static_cast<int>(i), stats);
+        if (options.onSmxRetire)
+            options.onSmxRetire(static_cast<int>(i),
+                                *units[i].setup.kernel);
+        total.merge(stats);
+    }
+    total.l2 = shared.l2Stats();
+    total.counters.add("l2.access", total.l2.accesses);
+    total.counters.add("l2.miss", total.l2.misses);
+    if (sharedInjector) {
+        const fault::FaultCounters &f = sharedInjector->counters();
+        total.counters.add("fault.cache_tag_flips", f.cacheTagFlips);
+        total.counters.add("fault.dram_delayed", f.dramDelayed);
+        total.counters.add("fault.dram_dropped", f.dramDropped);
+    }
+    return total;
 }
 
 } // namespace drs::simt

@@ -11,124 +11,26 @@ SimStats
 runGpu(const GpuConfig &config, const SmxFactory &factory,
        const GpuRunOptions &options)
 {
-    if (config.numSmx < 1)
-        throw std::invalid_argument("runGpu: numSmx must be >= 1");
-
-    SharedMemorySide shared(config.memory);
-
-    // One private injector per SMX plus one for the shared side. The
-    // shared injector's RNG only advances from accessLine calls, which
-    // the engines issue at the commit barrier in SMX-index order, so its
-    // fault sequence is thread-count-invariant like everything else.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    std::unique_ptr<fault::FaultInjector> sharedInjector;
-    if (options.fault.enabled()) {
-        injectors.reserve(static_cast<std::size_t>(config.numSmx));
-        for (int i = 0; i < config.numSmx; ++i)
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                options.fault, static_cast<std::uint64_t>(i)));
-        sharedInjector = std::make_unique<fault::FaultInjector>(
-            options.fault,
-            static_cast<std::uint64_t>(config.numSmx) + 0x10000u);
-        shared.setFault(sharedInjector.get());
-    }
-
-    // Two-phase construction: the Smx needs the kernel and the controller
-    // needs the Smx (for shuffle-stat callbacks), so SMXs are built with a
-    // placeholder and wired immediately after.
-    struct Unit
-    {
-        SmxSetup setup;
-        std::unique_ptr<Smx> smx;
-    };
-    std::vector<Unit> units;
-    units.reserve(static_cast<std::size_t>(config.numSmx));
-
-    for (int i = 0; i < config.numSmx; ++i) {
-        Unit unit;
-        unit.setup = factory(i);
-        if (!unit.setup.kernel)
-            throw std::invalid_argument("SMX factory returned no kernel");
-        unit.smx = std::make_unique<Smx>(config, *unit.setup.kernel,
-                                         unit.setup.controller.get(),
-                                         unit.setup.numWarps, shared);
-        unit.smx->setDeferredMemory(true);
-        unit.smx->setCheck(options.check);
-        if (options.fault.enabled())
-            unit.smx->setFault(injectors[static_cast<std::size_t>(i)].get());
-        if (unit.setup.controller)
-            unit.setup.controller->attach(*unit.smx);
-        if (options.trace != nullptr) {
-            obs::Tracer &tracer = options.trace->smx(i);
-            const Program &program = unit.setup.kernel->program();
-            std::vector<std::string> names;
-            names.reserve(static_cast<std::size_t>(program.blockCount()));
-            for (int b = 0; b < program.blockCount(); ++b)
-                names.push_back(program.block(b).name);
-            tracer.setBlockNames(std::move(names));
-            unit.smx->setTracer(&tracer);
-        }
-        if (options.attribution != nullptr) {
-            if (i == 0) {
-                const Program &program = unit.setup.kernel->program();
-                std::vector<std::string> names;
-                names.reserve(
-                    static_cast<std::size_t>(program.blockCount()));
-                for (int b = 0; b < program.blockCount(); ++b)
-                    names.push_back(program.block(b).name);
-                options.attribution->setBlockNames(std::move(names));
+    return runGpuUnits<Smx>(
+        config, options, [&](int i, SharedMemorySide &shared) {
+            GpuUnit<Smx> unit{factory(i), nullptr};
+            SmxSetup &setup = unit.setup;
+            if (!setup.kernel)
+                throw std::invalid_argument("SMX factory returned no kernel");
+            unit.smx = std::make_unique<Smx>(config, *setup.kernel,
+                                             setup.controller.get(),
+                                             setup.numWarps, shared);
+            // The controller reports shuffle stats through its Smx, which
+            // needs the controller at construction: wire it back now.
+            if (setup.controller)
+                setup.controller->attach(*unit.smx);
+            if (options.trace != nullptr) {
+                obs::Tracer &tracer = options.trace->smx(i);
+                tracer.setBlockNames(blockNames(setup.kernel->program()));
+                unit.smx->setTracer(&tracer);
             }
-            unit.smx->setAttribution(&options.attribution->smx(i));
-        }
-        if (options.sampler != nullptr) {
-            obs::TimeSampler &sampler = options.sampler->smx(i);
-            const obs::SampleConfig &sample = options.sampler->config();
-            sampler.enable(sample.interval, sample.capacity,
-                           options.attribution != nullptr
-                               ? &options.attribution->smx(i)
-                               : nullptr);
-            unit.smx->setSampler(&sampler);
-        }
-        units.push_back(std::move(unit));
-    }
-
-    std::vector<Smx *> smxs;
-    smxs.reserve(units.size());
-    for (auto &unit : units)
-        smxs.push_back(unit.smx.get());
-    fault::Watchdog watchdog(options.watchdogCycles);
-    runEngine(smxs, options.maxCycles, options.smxThreads,
-              watchdog.enabled() ? &watchdog : nullptr, options.cancel);
-
-    SimStats total;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        SimStats stats = units[i].smx->collectStats();
-        if (options.perSmxStats)
-            options.perSmxStats(static_cast<int>(i), stats);
-        if (options.onSmxRetire)
-            options.onSmxRetire(static_cast<int>(i),
-                                *units[i].setup.kernel);
-        total.merge(stats);
-    }
-    total.l2 = shared.l2Stats();
-    total.counters.add("l2.access", total.l2.accesses);
-    total.counters.add("l2.miss", total.l2.misses);
-    if (sharedInjector) {
-        const fault::FaultCounters &f = sharedInjector->counters();
-        total.counters.add("fault.cache_tag_flips", f.cacheTagFlips);
-        total.counters.add("fault.dram_delayed", f.dramDelayed);
-        total.counters.add("fault.dram_dropped", f.dramDropped);
-    }
-    return total;
-}
-
-SimStats
-runGpu(const GpuConfig &config, const SmxFactory &factory,
-       std::uint64_t max_cycles)
-{
-    GpuRunOptions options;
-    options.maxCycles = max_cycles;
-    return runGpu(config, factory, options);
+            return unit;
+        });
 }
 
 std::pair<std::size_t, std::size_t>

@@ -42,7 +42,10 @@ struct SmxSetup
  */
 using SmxFactory = std::function<SmxSetup(int smx_index)>;
 
-/** Execution options of one runGpu invocation. */
+/**
+ * Execution options of one GPU run: simt::runGpu and
+ * baselines::runTbcGpu both take them.
+ */
 struct GpuRunOptions
 {
     /** Safety bound; stats.cycles < maxCycles on success. */
@@ -60,6 +63,7 @@ struct GpuRunOptions
      * Optional cycle-level event tracing: when set, SMX i records into
      * collector tracer i (the collector must hold >= numSmx tracers).
      * Pure observation — SimStats are identical with tracing on or off.
+     * runTbcGpu has no warp-level tracer and rejects a collector.
      */
     obs::TraceCollector *trace = nullptr;
     /**
@@ -127,10 +131,6 @@ struct GpuRunOptions
  */
 SimStats runGpu(const GpuConfig &config, const SmxFactory &factory,
                 const GpuRunOptions &options);
-
-/** Convenience overload: sequential engine with a cycle bound. */
-SimStats runGpu(const GpuConfig &config, const SmxFactory &factory,
-                std::uint64_t max_cycles = 2'000'000'000ULL);
 
 /**
  * Split @p total_rays into per-SMX stripes of whole 32-ray groups, so

@@ -495,6 +495,13 @@ Smx::collectStats() const
     s.counters = counters_.snapshot();
     if (controller_ != nullptr)
         s.counters.merge(controller_->countersSnapshot());
+    finishStats(s);
+    return s;
+}
+
+void
+SmxHooks::finishStats(SimStats &s) const
+{
     s.counters.add("l1d.access", s.l1Data.accesses);
     s.counters.add("l1d.miss", s.l1Data.misses);
     s.counters.add("l1t.access", s.l1Texture.accesses);
@@ -514,20 +521,19 @@ Smx::collectStats() const
             // every slot of every cycle classified exactly once, and the
             // issued buckets must agree with the instruction histogram.
             attribution_->verifyConservation();
-            if (attribution_->cycles() != cycle_)
+            if (attribution_->cycles() != s.cycles)
                 throw std::logic_error(
                     "issue attribution: ledger cycles out of step with "
                     "the SMX");
             const std::uint64_t issued =
                 attribution_->bucketTotal(obs::SlotBucket::IssuedFull) +
                 attribution_->bucketTotal(obs::SlotBucket::IssuedPartial);
-            if (issued != histogram_.instructions())
+            if (issued != s.histogram.instructions())
                 throw std::logic_error(
                     "issue attribution: issued slots disagree with the "
                     "instruction histogram");
         }
     }
-    return s;
 }
 
 } // namespace drs::simt

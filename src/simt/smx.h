@@ -27,11 +27,71 @@
 namespace drs::simt {
 
 /**
+ * The engine and observer attach points every SMX-like executor shares
+ * (Smx, baselines::TbcSmx): runGpuUnits wires them identically for both.
+ * Each executor arms its own fault sites in setFault().
+ */
+class SmxHooks
+{
+  public:
+    /**
+     * Deferred-memory mode, used by the parallel GPU engine: step() then
+     * buffers shared-side (L2/DRAM) requests instead of playing them
+     * immediately, and commitMemory() must be called after every step() —
+     * serially, in SMX-index order across the GPU — to resolve them and
+     * release the waiting warps. Per-cycle results are bit-identical to
+     * immediate mode because a warp never observes its own memory latency
+     * within the cycle that issued the access.
+     */
+    void setDeferredMemory(bool deferred) { deferredMemory_ = deferred; }
+
+    /**
+     * Attach an issue-slot attribution ledger (nullptr = off, the
+     * default). Must be enabled for schedulersPerSmx x
+     * issuesPerScheduler slots per cycle. Pure observation: every slot
+     * of every cycle is classified (DESIGN.md §9) but scheduling never
+     * reads the ledger, so SimStats are bit-identical either way.
+     */
+    void setAttribution(obs::IssueAttribution *attribution)
+    {
+        attribution_ = attribution;
+    }
+
+    /**
+     * Attach a windowed time-series sampler (nullptr = off, the
+     * default). Pure observation, like the tracer.
+     */
+    void setSampler(obs::TimeSampler *sampler) { sampler_ = sampler; }
+
+    /**
+     * Attach an invariant checker (nullptr = off, the default). Checking
+     * is pure observation — SimStats are bit-identical either way — but
+     * every violation throws out of step()/collectStats().
+     */
+    void setCheck(const CheckContext *check) { check_ = check; }
+
+  protected:
+    /**
+     * The executor-independent tail of collectStats: bridges the L1
+     * caches and the fault tallies into stats.counters, then, under a
+     * checker, runs the stats invariants and the attribution ledger's
+     * conservation checks.
+     */
+    void finishStats(SimStats &stats) const;
+
+    bool deferredMemory_ = false;
+    const CheckContext *check_ = nullptr;
+    fault::FaultInjector *fault_ = nullptr;
+    obs::IssueAttribution *attribution_ = nullptr;
+    obs::TimeSampler *sampler_ = nullptr;
+};
+
+/**
  * A simulated SMX executing one kernel with a fixed set of resident warps
  * (persistent-threads style, as in the paper's setup: Aila's kernel spawns
  * 48 warps, the DRS Kernel 1 spawns 60).
  */
-class Smx
+class Smx : public SmxHooks
 {
   public:
     /**
@@ -49,17 +109,6 @@ class Smx
 
     /** Advance one core cycle. */
     void step();
-
-    /**
-     * Deferred-memory mode, used by the parallel GPU engine: step() then
-     * buffers shared-side (L2/DRAM) requests instead of playing them
-     * immediately, and commitMemory() must be called after every step() —
-     * serially, in SMX-index order across the GPU — to resolve them and
-     * release the waiting warps. Per-cycle results are bit-identical to
-     * immediate mode because a warp never observes its own memory latency
-     * within the cycle that issued the access.
-     */
-    void setDeferredMemory(bool deferred) { deferredMemory_ = deferred; }
 
     /** Commit buffered shared-side requests (deferred mode only). */
     void commitMemory();
@@ -103,31 +152,6 @@ class Smx
      * Tracing is pure observation: SimStats are identical either way.
      */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
-
-    /**
-     * Attach an issue-slot attribution ledger (nullptr = off, the
-     * default). Must be enabled for schedulersPerSmx x
-     * issuesPerScheduler slots per cycle. Pure observation: every slot
-     * of every cycle is classified (DESIGN.md §9) but scheduling never
-     * reads the ledger, so SimStats are bit-identical either way.
-     */
-    void setAttribution(obs::IssueAttribution *attribution)
-    {
-        attribution_ = attribution;
-    }
-
-    /**
-     * Attach a windowed time-series sampler (nullptr = off, the
-     * default). Pure observation, like the tracer.
-     */
-    void setSampler(obs::TimeSampler *sampler) { sampler_ = sampler; }
-
-    /**
-     * Attach an invariant checker (nullptr = off, the default). Checking
-     * is pure observation — SimStats are bit-identical either way — but
-     * every violation throws out of step()/collectStats().
-     */
-    void setCheck(const CheckContext *check) { check_ = check; }
 
     /**
      * Attach a fault injector (nullptr = off, the default). Arms this
@@ -201,10 +225,6 @@ class Smx
     obs::Counter &issueIdleCycles_;
 
     obs::Tracer *tracer_ = nullptr;
-    obs::IssueAttribution *attribution_ = nullptr;
-    obs::TimeSampler *sampler_ = nullptr;
-    const CheckContext *check_ = nullptr;
-    fault::FaultInjector *fault_ = nullptr;
 
     /** Per-block {instructions, active-thread sum} (see SimStats). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> blockIssue_;
@@ -221,7 +241,6 @@ class Smx
         PendingWarpAccess pending;
     };
 
-    bool deferredMemory_ = false;
     std::vector<DeferredAccess> deferredAccesses_;
 };
 

@@ -221,16 +221,65 @@ TEST(Tbc, GpuDriverAggregatesAcrossSmxs)
         [&](int smx) {
             auto [first, count] =
                 simt::rayStripe(setup.rays.size(), gpu.numSmx, smx);
-            std::vector<Ray> stripe(setup.rays.begin() + first,
-                                    setup.rays.begin() + first + count);
+            // The kernel keeps a view of its stripe: slice the batch,
+            // which outlives the run, rather than a local copy.
             kernels::AilaConfig aila;
             aila.numWarps = config.numWarps;
             return std::make_unique<kernels::AilaKernel>(
-                setup.bvh, setup.scene.triangles(), std::move(stripe),
+                setup.bvh, setup.scene.triangles(),
+                std::span<const Ray>(setup.rays).subspan(first, count),
                 first, aila);
-        });
+        },
+        simt::GpuRunOptions{});
     EXPECT_EQ(stats.raysTraced, setup.rays.size());
     EXPECT_GT(stats.histogram.simdEfficiency(), 0.0);
+}
+
+// Regression: with no SMXs the TBC driver used to return all-zero stats
+// for a non-empty batch (and a negative count threw std::length_error);
+// it must reject the count like every other architecture's driver.
+TEST(Tbc, GpuDriverRejectsANonPositiveSmxCount)
+{
+    TestSetup setup(64, 61);
+    TbcConfig config;
+    kernels::AilaConfig aila;
+    aila.numWarps = config.numWarps;
+    const auto make_kernel = [&](int) {
+        return std::make_unique<kernels::AilaKernel>(
+            setup.bvh, setup.scene.triangles(), setup.rays, 0, aila);
+    };
+    for (const int num_smx : {0, -1}) {
+        simt::GpuConfig gpu;
+        gpu.numSmx = num_smx;
+        EXPECT_THROW(runTbcGpu(gpu, config, make_kernel,
+                               simt::GpuRunOptions{}),
+                     std::invalid_argument)
+            << "numSmx = " << num_smx;
+    }
+}
+
+// TBC has no warp-level tracer; a trace collector handed to it would
+// silently record nothing, so the driver refuses it.
+TEST(Tbc, GpuDriverRejectsATraceCollector)
+{
+    TestSetup setup(64, 67);
+    simt::GpuConfig gpu;
+    gpu.numSmx = 1;
+    TbcConfig config;
+    kernels::AilaConfig aila;
+    aila.numWarps = config.numWarps;
+    obs::TraceCollector trace(gpu.numSmx, 1024);
+    simt::GpuRunOptions options;
+    options.trace = &trace;
+    EXPECT_THROW(runTbcGpu(
+                     gpu, config,
+                     [&](int) {
+                         return std::make_unique<kernels::AilaKernel>(
+                             setup.bvh, setup.scene.triangles(),
+                             setup.rays, 0, aila);
+                     },
+                     options),
+                 std::invalid_argument);
 }
 
 } // namespace

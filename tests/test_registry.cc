@@ -20,7 +20,9 @@
  * registration being picked up by runBatch immediately.
  */
 
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "harness/arch_detail.h"
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
+#include "harness/report.h"
 #include "reorder/reorder.h"
 
 namespace drs::harness {
@@ -323,6 +326,61 @@ TEST_P(RegistryConformance, LockstepCheckPassesAndIsAPureObserver)
         << "DRS_CHECK=1 found an invariant violation";
     EXPECT_TRUE(unchecked == checked) << "DRS_CHECK=1 altered SimStats";
     EXPECT_EQ(hits.size(), testRays().size());
+}
+
+/** FNV-1a over the lossless JSON form of @p stats. */
+std::uint64_t
+statsDigest(const simt::SimStats &stats)
+{
+    const std::string text = statsJsonFull(stats).dump();
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char ch : text) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** Pinned SimStats digests of one architecture's fixed test batch. */
+struct PinnedDigests
+{
+    std::uint64_t clean;
+    std::uint64_t faulted;
+};
+
+// Recorded from a build whose SimStats are known good; a refactor of the
+// GPU drivers or the plugin wiring must leave every value unchanged. An
+// intentional model change re-records them (the failure prints both).
+const std::map<std::string, PinnedDigests> kPinnedDigests = {
+    {"aila", {0xca3c9bb9c27eadaeULL, 0x3546c338a0ab228cULL}},
+    {"drs", {0x21b2924faefec732ULL, 0xc11a943f222e4495ULL}},
+    {"dmk", {0x72f28f50914be66fULL, 0xdb727ab0c8be6f1dULL}},
+    {"tbc", {0x4ca41d8cc5c6072fULL, 0xb07e6e333c927fddULL}},
+    {"sort", {0x56fce46dd969b009ULL, 0x3f01524bd0feaee3ULL}},
+    {"cutcode", {0x1a89e4a4b9d84196ULL, 0xb5539bc25aadaac0ULL}},
+    {"ser", {0x0c8d8737e91ae808ULL, 0x0c171c27b1b783c2ULL}},
+    {"pathpred", {0x9d3803bd8f4c335aULL, 0x265604fd656dceb8ULL}},
+};
+
+TEST_P(RegistryConformance, SimStatsMatchPinnedDigests)
+{
+    const auto pinned = kPinnedDigests.find(GetParam());
+    ASSERT_NE(pinned, kPinnedDigests.end())
+        << "no pinned SimStats digest for \"" << GetParam() << "\"";
+
+    RunConfig config = baseConfig();
+    config.smxThreads = 1;
+    const std::uint64_t clean = statsDigest(
+        runBatch(arch(), *prepared().tracer, testRays(), config));
+    EXPECT_EQ(clean, pinned->second.clean)
+        << std::hex << "clean digest 0x" << clean;
+
+    config.fault.seed = 0xfa17;
+    const std::uint64_t faulted = statsDigest(
+        runBatch(arch(), *prepared().tracer, testRays(), config));
+    EXPECT_EQ(faulted, pinned->second.faulted)
+        << std::hex << "faulted digest 0x" << faulted;
+    EXPECT_NE(clean, faulted) << "the fault seed injected nothing";
 }
 
 // Regression: quantize() used to cast a non-finite float straight to
