@@ -6,13 +6,11 @@
 #
 # Usage: run_benches.sh [--json [DIR]] [--compare BASELINE_DIR]
 #   --json        additionally write machine-readable BENCH_<name>.json
-#                 reports (default DIR: bench_reports). bench_micro uses
-#                 Google benchmark's own --benchmark_out JSON instead of
-#                 the shared schema. Validate with
-#                 build/tools/drs_validate DIR/BENCH_*.json
+#                 reports (default DIR: bench_reports), validated with
+#                 build/tools/drs_inspect validate DIR/BENCH_*.json
 #   --compare     after the sweep, diff the fresh reports against an
-#                 earlier report directory with tools/bench_compare.py
-#                 and exit non-zero on any metric regression. Implies
+#                 earlier report directory with drs_inspect compare and
+#                 exit non-zero on any metric regression. Implies
 #                 --json. The committed BENCH_baseline/ snapshot works as
 #                 a reference when run at its recorded scale (see
 #                 BENCH_baseline/README.md).
@@ -76,9 +74,9 @@ for name in "${benches[@]}"; do
     missing=1
   fi
 done
-if [ -n "$json_dir" ] && [ ! -x build/tools/drs_validate ]; then
-  echo "error: report validator build/tools/drs_validate is missing" \
-       "(build it: cmake --build build --target drs_validate)" >&2
+if [ -n "$json_dir" ] && [ ! -x build/tools/drs_inspect ]; then
+  echo "error: report inspector build/tools/drs_inspect is missing" \
+       "(build it: cmake --build build --target drs_inspect)" >&2
   missing=1
 fi
 [ "$missing" -eq 0 ] || exit 1
@@ -86,29 +84,19 @@ fi
 for name in "${benches[@]}"; do
   b="build/bench/$name"
   echo; echo "######## $name ########"; echo
-  if [ "$name" = "bench_micro" ]; then
-    if [ -n "$json_dir" ]; then
-      "$b" --benchmark_min_time=0.2 \
-           --benchmark_out="$json_dir/BENCH_micro.json" \
-           --benchmark_out_format=json
-    else
-      "$b" --benchmark_min_time=0.2
-    fi
+  if [ -n "$json_dir" ]; then
+    "$b" --jobs "$DRS_JOBS" --json "$json_dir/BENCH_${name#bench_}.json"
   else
-    if [ -n "$json_dir" ]; then
-      "$b" --jobs "$DRS_JOBS" --json "$json_dir/BENCH_${name#bench_}.json"
-    else
-      "$b" --jobs "$DRS_JOBS"
-    fi
+    "$b" --jobs "$DRS_JOBS"
   fi
 done
 
 if [ -n "$json_dir" ]; then
   echo; echo "JSON reports written to $json_dir/"
-  build/tools/drs_validate "$json_dir"/BENCH_*.json
+  build/tools/drs_inspect validate "$json_dir"/BENCH_*.json
 fi
 
 if [ -n "$compare_dir" ]; then
-  echo; echo "######## bench_compare vs $compare_dir ########"; echo
-  python3 tools/bench_compare.py "$compare_dir" "$json_dir"
+  echo; echo "######## drs_inspect compare vs $compare_dir ########"; echo
+  build/tools/drs_inspect compare "$compare_dir" "$json_dir"
 fi

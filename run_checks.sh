@@ -14,12 +14,13 @@
 #    to an uninterrupted run (wall-clock and resume bookkeeping aside).
 # 3. Runs one bench twice in the regular build -- DRS_CHECK=0 vs
 #    DRS_CHECK=1 -- and verifies both JSON reports validate against the
-#    schema (tools/drs_validate) and are identical except for
-#    wall-clock fields: invariant checking must be a pure observer.
+#    schema (drs_inspect validate) and are identical except for
+#    wall-clock fields (drs_inspect same): invariant checking must be a
+#    pure observer.
 # 4. Profiler smoke: the same bench under DRS_SAMPLE + DRS_TRACE must
-#    emit a Chrome trace that passes tests/check_trace.py, a report that
-#    drs_profile can render, and bench_compare.py must pass a
-#    self-compare of that report and flag a perturbed copy.
+#    emit a Chrome trace that passes drs_inspect trace and a report that
+#    drs_inspect profile can render; tests/check_compare.sh then runs
+#    every drs_inspect compare case against the fixtures.
 # 5. Fleet chaos leg (regular build + asan; NOT tsan -- fork() under
 #    thread-sanitizer interceptors is unreliable): ctest -L fleet runs
 #    the multi-process fleet suites plus tests/check_fleet_chaos.sh,
@@ -29,10 +30,10 @@
 #    trace stitching and --progress ticker on, cross-checked against
 #    summary.fleet.
 # 6. Telemetry smoke (regular build): a fleet bench under DRS_LOG +
-#    DRS_TRACE; the event log must analyze cleanly (drs_events), the
-#    trace shards must merge (drs_tracecat) into a document that passes
-#    tests/check_trace.py, and logging must be a pure observer (report
-#    identical to a telemetry-off run, wall-clock aside).
+#    DRS_TRACE; the event log must analyze cleanly (drs_inspect events),
+#    the trace shards must merge (drs_inspect merge) into a document that
+#    passes drs_inspect trace, and logging must be a pure observer
+#    (report identical to a telemetry-off run, wall-clock aside).
 #
 # Usage: run_checks.sh [--skip-sanitizers]
 
@@ -66,26 +67,10 @@ resume_smoke() {
       --json "$tmp/BENCH_resumed.json" >/dev/null
   DRS_RAYS=2048 DRS_SCALE=0.05 DRS_SMX=2 \
       "$bench" --jobs 2 --json "$tmp/BENCH_clean.json" >/dev/null
-  "$1/tools/drs_validate" "$tmp"/BENCH_*.json
-  python3 - "$tmp/BENCH_clean.json" "$tmp/BENCH_resumed.json" <<'PYEOF'
-import json
-import sys
-
-
-def strip(node, drop=("wall_seconds", "sweep")):
-    """Drop wall-clock + resume bookkeeping; the rest must match."""
-    if isinstance(node, dict):
-        return {k: strip(v) for k, v in node.items() if k not in drop}
-    if isinstance(node, list):
-        return [strip(v) for v in node]
-    return node
-
-
-clean, resumed = (strip(json.load(open(p))) for p in sys.argv[1:3])
-if clean != resumed:
-    sys.exit("FAIL: resumed sweep differs from an uninterrupted run")
-print("ok   resumed report identical to an uninterrupted run")
-PYEOF
+  "$1/tools/drs_inspect" validate "$tmp"/BENCH_*.json
+  # Wall-clock and resume bookkeeping aside, the rest must match.
+  "$1/tools/drs_inspect" same --ignore wall_seconds,sweep \
+      "$tmp/BENCH_clean.json" "$tmp/BENCH_resumed.json"
   rm -rf "$tmp"
 }
 
@@ -127,7 +112,7 @@ cmake --build build -j"$JOBS"
 echo; echo "######## bench JSON: DRS_CHECK must be a pure observer ########"
 echo
 cmake -B build -S . >/dev/null
-cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown drs_validate
+cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown drs_inspect
 resume_smoke build
 json_dir=$(mktemp -d)
 trap 'rm -rf "$json_dir"' EXIT
@@ -137,91 +122,48 @@ DRS_CHECK=0 build/bench/bench_fig2_aila_breakdown --jobs 2 \
     --json "$json_dir/BENCH_unchecked.json"
 DRS_CHECK=1 build/bench/bench_fig2_aila_breakdown --jobs 2 \
     --json "$json_dir/BENCH_checked.json"
-build/tools/drs_validate "$json_dir"/BENCH_*.json
-python3 - "$json_dir/BENCH_unchecked.json" "$json_dir/BENCH_checked.json" \
-    <<'EOF'
-import json
-import sys
-
-
-def strip(node):
-    """Drop wall-clock fields; everything else must be bit-identical."""
-    if isinstance(node, dict):
-        return {k: strip(v) for k, v in node.items() if k != "wall_seconds"}
-    if isinstance(node, list):
-        return [strip(v) for v in node]
-    return node
-
-
-unchecked, checked = (strip(json.load(open(p))) for p in sys.argv[1:3])
-if unchecked != checked:
-    sys.exit("FAIL: DRS_CHECK=1 changed the bench report "
-             "(beyond wall-clock fields)")
-print("ok   bench report unchanged by DRS_CHECK=1")
-EOF
+build/tools/drs_inspect validate "$json_dir"/BENCH_*.json
+build/tools/drs_inspect same --ignore wall_seconds \
+    "$json_dir/BENCH_unchecked.json" "$json_dir/BENCH_checked.json"
 
 echo; echo "######## telemetry: event log + stitched fleet trace smoke ########"
 echo
-cmake --build build -j"$JOBS" --target drs_events drs_tracecat
 telemetry_dir=$(mktemp -d)
 DRS_LOG="$telemetry_dir/events.jsonl" DRS_LOG_LEVEL=debug DRS_LOG_RATE=0 \
     DRS_TRACE="$telemetry_dir/trace" \
     build/bench/bench_fig2_aila_breakdown --jobs 2 --fleet 2 --progress \
     --json "$telemetry_dir/BENCH_logged.json" >/dev/null 2>&1
-build/tools/drs_events "$telemetry_dir/events.jsonl" >/dev/null
-dispatches=$(build/tools/drs_events --count fleet.dispatch \
+build/tools/drs_inspect events "$telemetry_dir/events.jsonl" >/dev/null
+dispatches=$(build/tools/drs_inspect events --count fleet.dispatch \
     "$telemetry_dir/events.jsonl")
 if [ "$dispatches" -lt 1 ]; then
   echo "FAIL: fleet run logged no fleet.dispatch events"
   exit 1
 fi
-build/tools/drs_tracecat -o "$telemetry_dir/merged.json" \
+build/tools/drs_inspect merge -o "$telemetry_dir/merged.json" \
     "$telemetry_dir"/trace.w*.j* "$telemetry_dir/trace.coord"
-python3 tests/check_trace.py "$telemetry_dir/merged.json"
+build/tools/drs_inspect trace "$telemetry_dir/merged.json"
 build/bench/bench_fig2_aila_breakdown --jobs 2 --fleet 2 \
     --json "$telemetry_dir/BENCH_quiet.json" >/dev/null
-build/tools/drs_validate "$telemetry_dir"/BENCH_*.json
-python3 - "$telemetry_dir/BENCH_quiet.json" \
-    "$telemetry_dir/BENCH_logged.json" <<'EOF'
-import json
-import sys
-
-
-def strip(node):
-    """Drop wall-clock + supervision telemetry (resource usage and
-    timing are wall-clock facts); simulation results must be
-    bit-identical."""
-    if isinstance(node, dict):
-        return {k: strip(v) for k, v in node.items()
-                if k not in ("wall_seconds", "fleet")}
-    if isinstance(node, list):
-        return [strip(v) for v in node]
-    return node
-
-
-quiet, logged = (json.load(open(p)) for p in sys.argv[1:3])
-for document in (quiet, logged):
-    document.pop("options", None)  # --progress / DRS_TRACE provenance
-quiet, logged = strip(quiet), strip(logged)
-if quiet != logged:
-    sys.exit("FAIL: DRS_LOG/DRS_TRACE/--progress changed the bench report")
-print("ok   bench report unchanged by the telemetry pipeline")
-EOF
+build/tools/drs_inspect validate "$telemetry_dir"/BENCH_*.json
+# Resource usage and timing are wall-clock facts, and --progress /
+# DRS_TRACE are recorded in the options; the rest must match.
+build/tools/drs_inspect same --ignore wall_seconds,fleet,options \
+    "$telemetry_dir/BENCH_quiet.json" "$telemetry_dir/BENCH_logged.json"
 rm -rf "$telemetry_dir"
 
 echo; echo "######## profiler: trace + attribution + comparator smoke ########"
 echo
-cmake --build build -j"$JOBS" --target drs_profile
 mkdir -p "$json_dir/profiled"
 DRS_SAMPLE=500 DRS_TRACE="$json_dir/trace.json" \
     build/bench/bench_fig2_aila_breakdown --jobs 1 \
     --json "$json_dir/profiled/BENCH_fig2_aila_breakdown.json"
-python3 tests/check_trace.py "$json_dir/trace.json"
-build/tools/drs_validate \
+build/tools/drs_inspect trace "$json_dir/trace.json"
+build/tools/drs_inspect validate \
     "$json_dir/profiled/BENCH_fig2_aila_breakdown.json"
-build/tools/drs_profile \
+build/tools/drs_inspect profile \
     "$json_dir/profiled/BENCH_fig2_aila_breakdown.json" >/dev/null
-echo "ok   drs_profile renders the sampled report"
-bash tests/check_compare.sh python3 tools/bench_compare.py tests/fixtures
+echo "ok   drs_inspect profile renders the sampled report"
+bash tests/check_compare.sh build/tools/drs_inspect tests/fixtures
 
 echo; echo "run_checks.sh: all checks passed"

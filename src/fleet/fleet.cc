@@ -251,7 +251,7 @@ workerMain(int readFd, int writeFd, int workerId, int generation,
                           std::memory_order_release);
             // Per-claim trace shard: every (worker, job) pair writes its
             // own file, so a worker's later jobs never overwrite earlier
-            // shards and tools/drs_tracecat can stitch them all. Pure
+            // shards and `drs_inspect merge` can stitch them all. Pure
             // observer — the path never feeds back into the simulation.
             SweepJob job = jobs[index];
             if (job.config.trace.enabled && !job.config.trace.path.empty())
@@ -1075,7 +1075,7 @@ struct FleetRun
     /**
      * Write the coordinator's job-lifecycle spans and supervision
      * instants as a standalone Chrome trace document (pid 0, one thread
-     * per worker id). tools/drs_tracecat merges it with the workers'
+     * per worker id). `drs_inspect merge` stitches it with the workers'
      * per-claim shards into the stitched fleet trace.
      */
     void writeCoordinatorTrace(const std::string &path)

@@ -91,7 +91,7 @@ struct FleetOptions
      * path). When set, the coordinator writes its job-lifecycle spans
      * (dispatch -> result, plus death/respawn/kill/redispatch/quarantine
      * instants) to "<tracePath>.coord"; workers write per-claim shards
-     * to "<tracePath>.w<id>.j<index>". tools/drs_tracecat merges them.
+     * to "<tracePath>.w<id>.j<index>". `drs_inspect merge` stitches them.
      * Empty = no coordinator trace.
      */
     std::string tracePath;

@@ -106,7 +106,7 @@ class BenchReport
  * object must carry the supervision counters (respawned <= spawned),
  * the "cancelled" bool and a complete "telemetry" aggregate
  * (jobs_reported <= frames). Older schema versions are rejected with a
- * clear version error. tools/drs_validate runs this over report files.
+ * clear version error. `drs_inspect validate` runs this over report files.
  *
  * @return empty string when valid, else a human-readable reason.
  */

@@ -63,8 +63,9 @@ Warp::applySuccessors(const std::vector<int> &next_blocks,
         // the immediate post-dominator; one entry per target is pushed.
         const int rpc = program.immediatePostDominator(branch_pc);
         top.pc = rpc;
-        // Push in descending target order so execution order is
-        // deterministic; any order is architecturally valid.
+        // Push in ascending target order so execution order is
+        // deterministic (the highest-numbered target ends up on top and
+        // runs first); any order is architecturally valid.
         for (auto it = targets.begin(); it != targets.end(); ++it) {
             if (it->first == rpc)
                 continue; // these lanes wait at the reconvergence entry

@@ -17,37 +17,32 @@
 #   4. Resume: --resume under the same chaos finishes the sweep, with
 #      its own DRS_LOG / DRS_TRACE and the --progress ticker on.
 #   5. The recovered report must pass the schema-v4 check (including
-#      summary.fleet.telemetry, via drs_validate) and the final journal must hold every
-#      job exactly once (drs_journal --expect).
+#      summary.fleet.telemetry, via drs_inspect validate) and the final
+#      journal must hold every job exactly once (drs_inspect journal
+#      --expect).
 #   6. Event-log accounting: every summary.fleet supervision counter of
 #      the resume run (spawned, worker_deaths, respawned,
 #      heartbeat_kills, redispatched, quarantined) must equal the count
-#      of its event in that run's log (drs_events --count), telemetry
-#      digests must cover at most the jobs the log saw finish, and
-#      drs_events must accept the merged chaos+resume log (integrity:
-#      at most one torn tail per file).
-#   7. Trace stitching: drs_tracecat merges every worker shard of both
-#      phases (torn shards from SIGKILLed workers are expected debris)
-#      with the resume coordinator shard; the merged trace must pass
-#      check_trace.py and its supervision instants must match the
-#      summary.fleet counters one for one.
+#      of its event in that run's log (drs_inspect events --count),
+#      telemetry digests must cover at most the jobs the log saw finish,
+#      and drs_inspect events must accept the merged chaos+resume log
+#      (integrity: at most one torn tail per file).
+#   7. Trace stitching: drs_inspect merge stitches every worker shard of
+#      both phases (torn shards from SIGKILLed workers are expected
+#      debris) with the resume coordinator shard; the merged trace must
+#      pass drs_inspect trace and its supervision instants (trace
+#      --count) must match the summary.fleet counters one for one.
 #   8. Bit-identity: after stripping wall-clock and provenance
 #      (wall_seconds, options, summary.sweep, summary.fleet) the
 #      recovered fleet report equals the telemetry-off single-process
 #      report byte for byte — observability changed nothing but the
 #      clock.
 #
-# Usage: check_fleet_chaos.sh BENCH_BINARY DRS_JOURNAL PYTHON \
-#            DRS_VALIDATE DRS_EVENTS DRS_TRACECAT TRACE_CHECKER
+# Usage: check_fleet_chaos.sh BENCH_BINARY DRS_INSPECT
 set -euo pipefail
 
 bench=$1
-drs_journal=$2
-python=$3
-drs_validate=$4
-drs_events=$5
-drs_tracecat=$6
-trace_checker=$7
+inspect=$2
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -78,8 +73,8 @@ if [ "$status" -ne 70 ]; then
 fi
 
 echo "== fleet chaos: partial journal and partial event log verify =="
-"$drs_journal" "$tmp/sweep.jsonl"
-crashes=$("$drs_events" --count fleet.crash_injection "$tmp/events_chaos.jsonl")
+"$inspect" journal "$tmp/sweep.jsonl"
+crashes=$("$inspect" events --count fleet.crash_injection "$tmp/events_chaos.jsonl")
 if [ "$crashes" -ne 1 ]; then
     echo "FAIL: chaos-phase log has $crashes crash_injection records, expected 1"
     exit 1
@@ -103,28 +98,20 @@ grep -q '\[progress\]' "$tmp/resume.err" || {
 }
 
 echo "== fleet chaos: recovered report passes the schema =="
-"$drs_validate" "$tmp/fleet.json"
+"$inspect" validate "$tmp/fleet.json"
 
 echo "== fleet chaos: final journal holds every job exactly once =="
-jobs=$("$python" -c '
-import json, sys
-report = json.load(open(sys.argv[1]))
-print(report["summary"]["sweep"]["total_jobs"])' "$tmp/fleet.json")
-"$drs_journal" "$tmp/sweep.jsonl" --expect "$jobs"
+jobs=$("$inspect" get "$tmp/fleet.json" summary.sweep.total_jobs)
+"$inspect" journal "$tmp/sweep.jsonl" --expect "$jobs"
 
 echo "== fleet chaos: event log accounts for every supervision event =="
 fleet_counter() {
-    "$python" -c '
-import json, sys
-fleet = json.load(open(sys.argv[1]))["summary"]["fleet"]
-for key in sys.argv[2].split("."):
-    fleet = fleet[key]
-print(fleet)' "$tmp/fleet.json" "$1"
+    "$inspect" get "$tmp/fleet.json" "summary.fleet.$1"
 }
 check_count() {
     local counter=$1 event=$2 want got
     want=$(fleet_counter "$counter")
-    got=$("$drs_events" --count "$event" "$tmp/events_resume.jsonl")
+    got=$("$inspect" events --count "$event" "$tmp/events_resume.jsonl")
     if [ "$want" -ne "$got" ]; then
         echo "FAIL: summary.fleet.$counter=$want but the event log holds" \
              "$got $event records"
@@ -140,7 +127,7 @@ check_count redispatched fleet.redispatch
 check_count quarantined fleet.quarantine
 frames=$(fleet_counter telemetry.frames)
 reported=$(fleet_counter telemetry.jobs_reported)
-job_done=$("$drs_events" --count fleet.job_done "$tmp/events_resume.jsonl")
+job_done=$("$inspect" events --count fleet.job_done "$tmp/events_resume.jsonl")
 if [ "$frames" -lt 1 ] || [ "$reported" -gt "$job_done" ]; then
     echo "FAIL: telemetry frames=$frames jobs_reported=$reported vs" \
          "$job_done job_done records (want frames >= 1," \
@@ -150,7 +137,7 @@ fi
 echo "ok   $frames telemetry frames cover $reported of $job_done jobs run"
 # The merged two-phase log must be structurally sound (at most one torn
 # crash-tail line per file) and analyzable as one story.
-"$drs_events" "$tmp/events_chaos.jsonl" "$tmp/events_resume.jsonl" \
+"$inspect" events "$tmp/events_chaos.jsonl" "$tmp/events_resume.jsonl" \
     > "$tmp/events_summary.txt"
 sed 's/^/     /' "$tmp/events_summary.txt"
 
@@ -159,70 +146,33 @@ shopt -s nullglob
 shards=("$tmp"/trace_chaos.w*.j* "$tmp"/trace_chaos.coord
         "$tmp"/trace_resume.w*.j* "$tmp"/trace_resume.coord)
 shopt -u nullglob
-"$drs_tracecat" -o "$tmp/merged_trace.json" "${shards[@]}"
-"$python" "$trace_checker" "$tmp/merged_trace.json"
-"$python" - "$tmp/merged_trace.json" "$tmp/fleet.json" <<'PYEOF'
-import json
-import sys
-
-trace = json.load(open(sys.argv[1]))
-fleet = json.load(open(sys.argv[2]))["summary"]["fleet"]
-instants = {}
-for event in trace["traceEvents"]:
-    if event.get("ph") == "i":
-        kind = event.get("name", "").split(" ")[0]
-        instants[kind] = instants.get(kind, 0) + 1
+"$inspect" merge -o "$tmp/merged_trace.json" "${shards[@]}"
+"$inspect" trace "$tmp/merged_trace.json"
 # The resume coordinator shard is the only lifecycle shard in the merge
 # (the chaos coordinator crashed before writing its own), so its
 # instants must match the resume run's counters one for one.
-expectations = {
-    "worker_death": fleet["worker_deaths"],
-    "respawn": fleet["respawned"],
-    "heartbeat_kill": fleet["heartbeat_kills"],
-    "redispatch": fleet["redispatched"],
-    "quarantine": fleet["quarantined"],
-}
-for kind, expected in expectations.items():
-    got = instants.get(kind, 0)
-    if got != expected:
-        sys.exit(f"FAIL: stitched trace has {got} {kind} instants, "
-                 f"summary.fleet says {expected}")
-    print(f"ok   {kind} instants x {got} match summary.fleet")
-PYEOF
+for pair in worker_death:worker_deaths respawn:respawned \
+            heartbeat_kill:heartbeat_kills redispatch:redispatched \
+            quarantine:quarantined; do
+    kind=${pair%%:*}
+    want=$(fleet_counter "${pair#*:}")
+    got=$("$inspect" trace --count "$kind" "$tmp/merged_trace.json")
+    if [ "$got" -ne "$want" ]; then
+        echo "FAIL: stitched trace has $got $kind instants," \
+             "summary.fleet says $want"
+        exit 1
+    fi
+    echo "ok   $kind instants x $got match summary.fleet"
+done
 
 echo "== fleet chaos: bit-identity against the telemetry-off reference =="
-"$python" - "$tmp/ref.json" "$tmp/fleet.json" <<'PYEOF'
-import json
-import sys
-
-
-def strip(value):
-    """Drop wall-clock timing recursively; it is the one thing allowed
-    to differ between a clean run and a crash-recovered fleet run."""
-    if isinstance(value, dict):
-        return {k: strip(v) for k, v in value.items() if k != "wall_seconds"}
-    if isinstance(value, list):
-        return [strip(v) for v in value]
-    return value
-
-
-reference = json.load(open(sys.argv[1]))
-fleet = json.load(open(sys.argv[2]))
-summary = fleet["summary"].get("fleet", {})
-for document in (reference, fleet):
-    document.pop("options", None)  # --fleet/--journal flags differ by design
-    document.get("summary", {}).pop("sweep", None)  # replay provenance
-    document.get("summary", {}).pop("fleet", None)  # supervision counters
-reference, fleet = strip(reference), strip(fleet)
-if reference != fleet:
-    for key in set(reference) | set(fleet):
-        if reference.get(key) != fleet.get(key):
-            print(f"FAIL: '{key}' differs between reference and fleet run")
-    sys.exit("FAIL: recovered fleet report is not bit-identical")
-deaths = summary.get("worker_deaths", 0)
-print(f"ok   bit-identical after {deaths} worker deaths, "
-      f"{summary.get('redispatched', 0)} re-dispatches and one "
-      "coordinator crash — with logging, tracing and --progress on")
-PYEOF
+# Wall-clock timing, the --fleet/--journal options, replay provenance
+# and the supervision counters are the only things allowed to differ
+# between a clean run and a crash-recovered fleet run.
+"$inspect" same --ignore wall_seconds,options,summary.sweep,summary.fleet \
+    "$tmp/ref.json" "$tmp/fleet.json"
+echo "ok   bit-identical after $(fleet_counter worker_deaths) worker" \
+     "deaths, $(fleet_counter redispatched) re-dispatches and one" \
+     "coordinator crash — with logging, tracing and --progress on"
 
 echo "check_fleet_chaos.sh: all checks passed"
