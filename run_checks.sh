@@ -3,8 +3,8 @@
 #
 # 1. Builds the tree under -DDRS_SANITIZE=address, =thread and
 #    =undefined and runs the `check`-labelled suites (plus the registry,
-#    render, baselines and fuzz-smoke legs) under each sanitizer with
-#    DRS_CHECK=1:
+#    render, baselines, core and fuzz-smoke legs) under each sanitizer
+#    with DRS_CHECK=1:
 #    test_check plus fuzz_smoke, the seeded randomized lockstep
 #    cross-check (fixed master seed 0x5eed -> deterministic configs,
 #    every seed printed for --replay).
@@ -81,7 +81,7 @@ if [ "$skip_san" -eq 0 ]; then
     cmake -B "$dir" -S . -DDRS_SANITIZE="$san" >/dev/null
     cmake --build "$dir" -j"$JOBS"
     (cd "$dir" &&
-     DRS_CHECK=1 ctest -L 'check|fuzz-smoke|fault|resume|registry|obs|render|baselines' \
+     DRS_CHECK=1 ctest -L 'check|fuzz-smoke|fault|resume|registry|obs|render|baselines|core' \
          --output-on-failure -j"$JOBS")
     resume_smoke "$dir"
     # Fleet suites fork real worker processes: sound under asan, not

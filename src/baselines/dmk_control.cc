@@ -151,16 +151,9 @@ DmkControl::onRdctrl(int warp)
     const int lanes = workspace_.laneCount();
 
     // Census of the warp's own row.
-    int fetch = 0;
-    int inner = 0;
-    int leaf = 0;
-    for (int lane = 0; lane < lanes; ++lane) {
-        switch (workspace_.state(row, lane)) {
-          case TravState::Fetch: ++fetch; break;
-          case TravState::Inner: ++inner; break;
-          case TravState::Leaf: ++leaf; break;
-        }
-    }
+    const simt::RowCensus &census = workspace_.census(row);
+    const int inner = census.inner();
+    const int leaf = census.leaf();
     const bool input_rays = !workspace_.poolEmpty();
     const bool pools_empty = pools_[1].empty() && pools_[2].empty();
 
@@ -222,8 +215,7 @@ DmkControl::onRdctrl(int warp)
         if (s == TravState::Fetch)
             continue;
         PooledRay pooled;
-        pooled.payload = workspace_.slot(row, lane);
-        workspace_.slot(row, lane) = kernels::RaySlot{};
+        pooled.payload = workspace_.takeRay(row, lane);
         pooled.spawnSlot = allocSpawnSlot();
         pools_[static_cast<std::size_t>(s)].push_back(std::move(pooled));
         ++dumped;
@@ -262,7 +254,7 @@ DmkControl::onRdctrl(int warp)
     for (int lane = 0; lane < take; ++lane) {
         PooledRay pooled = std::move(pool->back());
         pool->pop_back();
-        workspace_.slot(row, lane) = std::move(pooled.payload);
+        workspace_.putRay(row, lane, std::move(pooled.payload));
         load_slots.push_back(pooled.spawnSlot);
         freeSpawnSlot(pooled.spawnSlot);
         raysLoaded_.add();

@@ -100,11 +100,11 @@ Checker::checkMemory(const simt::SmxMemory &memory) const
 void
 Checker::checkKernel(simt::Kernel &kernel) const
 {
-    auto *workspace =
-        dynamic_cast<kernels::TravWorkspace *>(&kernel.workspace());
-    if (workspace == nullptr)
-        return;
-    verifyWorkspace(*workspace, /*strict=*/false);
+    simt::RowWorkspace &workspace = kernel.workspace();
+    if (auto *trav = dynamic_cast<kernels::TravWorkspace *>(&workspace))
+        verifyWorkspace(*trav, /*strict=*/false);
+    else
+        verifyCensus(workspace);
 }
 
 void
@@ -114,8 +114,28 @@ Checker::checkStats(const simt::SimStats &stats) const
 }
 
 void
+verifyCensus(const simt::RowWorkspace &workspace)
+{
+    std::size_t live = 0;
+    for (int row = 0; row < workspace.rowCount(); ++row) {
+        simt::RowCensus recount;
+        for (int lane = 0; lane < workspace.laneCount(); ++lane)
+            ++recount.count[static_cast<std::size_t>(
+                workspace.state(row, lane))];
+        if (recount.count != workspace.census(row).count)
+            throw InvariantViolation(
+                "row census out of step with the slot states");
+        live += static_cast<std::size_t>(recount.live());
+    }
+    if (live != workspace.liveRays())
+        throw InvariantViolation("liveRays disagrees with slot states");
+}
+
+void
 verifyWorkspace(const kernels::TravWorkspace &workspace, bool strict)
 {
+    verifyCensus(workspace);
+
     std::unordered_set<std::int64_t> ids;
     std::size_t live = 0;
     const auto first = static_cast<std::int64_t>(workspace.firstRay());
@@ -141,9 +161,6 @@ verifyWorkspace(const kernels::TravWorkspace &workspace, bool strict)
                 throw InvariantViolation("leaf cursor ran past its end");
         }
     }
-
-    if (live != workspace.liveRays())
-        throw InvariantViolation("liveRays disagrees with slot states");
 
     const std::size_t total = workspace.results().size();
     const std::size_t accounted =

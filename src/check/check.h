@@ -21,6 +21,10 @@ namespace drs::kernels {
 class TravWorkspace;
 }
 
+namespace drs::simt {
+class RowWorkspace;
+}
+
 namespace drs::check {
 
 /** Thrown by the checkers in this library on a violated invariant. */
@@ -41,9 +45,15 @@ class InvariantViolation : public std::logic_error
 bool checkEnabled(int mode = -1);
 
 /**
- * Traversal-workspace invariants: empty slots hold no ray id, live slots
- * hold in-stripe unique ray ids with a sane leaf cursor, liveRays()
- * agrees with the slot states, and rays are conserved.
+ * The workspace's maintained census against a recount of its slots:
+ * every row's per-state counts and the liveRays() total.
+ */
+void verifyCensus(const simt::RowWorkspace &workspace);
+
+/**
+ * Traversal-workspace invariants: the census matches the slots
+ * (verifyCensus), empty slots hold no ray id, live slots hold in-stripe
+ * unique ray ids with a sane leaf cursor, and rays are conserved.
  *
  * @param strict every ray of the stripe must be inside the workspace
  *        (completed + live + unfetched == stripe size). False for

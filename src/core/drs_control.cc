@@ -37,38 +37,12 @@ DrsControl::DrsControl(const DrsConfig &config,
     ops_.assign(static_cast<std::size_t>(opsPerTask_) * 3, Operation{});
     warpRow_.assign(static_cast<std::size_t>(num_warps), -1);
     rowOwner_.assign(static_cast<std::size_t>(rows_), -1);
-    censusCache_.assign(static_cast<std::size_t>(rows_), RowCensus{});
-    censusValid_.assign(static_cast<std::size_t>(rows_), 0);
+    rowLocks_.assign(static_cast<std::size_t>(rows_), 0);
     // Initially the first N rows are bound to the N warps (Section 3.2.2).
     for (int w = 0; w < num_warps; ++w) {
         warpRow_[static_cast<std::size_t>(w)] = w;
         rowOwner_[static_cast<std::size_t>(w)] = w;
     }
-}
-
-DrsControl::RowCensus
-DrsControl::census(int row) const
-{
-    RowCensus c;
-    for (int lane = 0; lane < lanes_; ++lane)
-        ++c.count[static_cast<std::size_t>(workspace_.state(row, lane))];
-    return c;
-}
-
-const DrsControl::RowCensus &
-DrsControl::cachedCensus(int row)
-{
-    if (!censusValid_[static_cast<std::size_t>(row)]) {
-        censusCache_[static_cast<std::size_t>(row)] = census(row);
-        censusValid_[static_cast<std::size_t>(row)] = 1;
-    }
-    return censusCache_[static_cast<std::size_t>(row)];
-}
-
-void
-DrsControl::invalidateCensus(int row)
-{
-    censusValid_[static_cast<std::size_t>(row)] = 0;
 }
 
 bool
@@ -84,9 +58,10 @@ DrsControl::dispatchable(const RowCensus &c) const
 }
 
 RdctrlResult
-DrsControl::dispatch(int warp, int row, const RowCensus &c)
+DrsControl::dispatch(int warp, int row)
 {
     bindRow(warp, row);
+    const RowCensus &c = workspace_.census(row);
 
     RdctrlResult result;
     result.row = row;
@@ -119,30 +94,18 @@ DrsControl::dispatch(int warp, int row, const RowCensus &c)
     return result;
 }
 
-bool
-DrsControl::rowLocked(int row) const
-{
-    for (const auto &op : ops_)
-        if (op.active && (op.rowA == row || op.rowB == row))
-            return true;
-    return false;
-}
-
 void
 DrsControl::bindRow(int warp, int row)
 {
     const int old = warpRow_[static_cast<std::size_t>(warp)];
     if (old == row)
         return;
-    if (old >= 0) {
+    if (old >= 0)
         rowOwner_[static_cast<std::size_t>(old)] = -1;
-        invalidateCensus(old);
-    }
     assert(rowOwner_[static_cast<std::size_t>(row)] == -1 &&
            "a row may not be bound to more than one warp");
     warpRow_[static_cast<std::size_t>(warp)] = row;
     rowOwner_[static_cast<std::size_t>(row)] = warp;
-    invalidateCensus(row);
     dirty_ = true;
     uniformCacheValid_ = false;
 }
@@ -155,7 +118,6 @@ DrsControl::unbindWarpRow(int warp)
         return;
     rowOwner_[static_cast<std::size_t>(old)] = -1;
     warpRow_[static_cast<std::size_t>(warp)] = -1;
-    invalidateCensus(old);
     dirty_ = true;
     uniformCacheValid_ = false;
 }
@@ -170,7 +132,7 @@ DrsControl::findUniformRow()
     for (int row = 0; row < rows_; ++row) {
         if (rowOwner_[static_cast<std::size_t>(row)] >= 0 || rowLocked(row))
             continue;
-        const RowCensus &c = cachedCensus(row);
+        const RowCensus &c = workspace_.census(row);
         if (!dispatchable(c))
             continue;
         // Fuller rows give higher SIMD payoff per dispatch; leaf rows
@@ -208,15 +170,11 @@ DrsControl::cachedUniformRow()
 RdctrlResult
 DrsControl::onRdctrl(int warp)
 {
-    // Terminal condition: no pool rays and no live rays anywhere. The
-    // live-ray census is cached per cycle: every stalled warp retries
-    // each cycle during the drain phase.
-    if (liveCacheCycle_ != now_) {
-        liveCacheCycle_ = now_;
-        liveCachePoolEmpty_ = workspace_.poolEmpty();
-        liveCacheValue_ = liveCachePoolEmpty_ ? workspace_.liveRays() : 1;
-    }
-    if (liveCachePoolEmpty_ && liveCacheValue_ == 0) {
+    // Terminal condition: no pool rays and no live rays anywhere, and no
+    // warp has seen work earlier in this cycle (see workSeenCycle_).
+    if (!workspace_.poolEmpty() || workspace_.liveRays() != 0) {
+        workSeenCycle_ = now_;
+    } else if (workSeenCycle_ != now_) {
         unbindWarpRow(warp);
         RdctrlResult result;
         result.exit = true;
@@ -225,7 +183,7 @@ DrsControl::onRdctrl(int warp)
 
     const int own = warpRow_[static_cast<std::size_t>(warp)];
     if (own >= 0) {
-        const RowCensus c = census(own);
+        const RowCensus &c = workspace_.census(own);
         if (dispatchable(c)) {
             // Near-full rows run in place. Under-full rows circulate:
             // the warp takes a fuller unbound row and releases its own
@@ -242,14 +200,13 @@ DrsControl::onRdctrl(int warp)
             if (!full_enough) {
                 const int fuller = cachedUniformRow();
                 if (fuller >= 0 &&
-                    cachedCensus(fuller).live() > c.live()) {
-                    const RowCensus fc = cachedCensus(fuller);
+                    workspace_.census(fuller).live() > c.live()) {
                     unbindWarpRow(warp);
                     remaps_.add();
-                    return dispatch(warp, fuller, fc);
+                    return dispatch(warp, fuller);
                 }
             }
-            return dispatch(warp, own, c);
+            return dispatch(warp, own);
         }
     }
 
@@ -258,8 +215,7 @@ DrsControl::onRdctrl(int warp)
         if (own >= 0)
             unbindWarpRow(warp);
         remaps_.add();
-        const RowCensus c = cachedCensus(found);
-        return dispatch(warp, found, c);
+        return dispatch(warp, found);
     }
 
     // Stall: release the warp's row so the swap engine may reorganize it.
@@ -288,7 +244,7 @@ DrsControl::refreshDesignatedRow(ShuffleTask task)
     // Keep the current designation while it is still useful.
     const int current = designated_[t];
     if (current >= 0 && eligible(current)) {
-        const RowCensus &c = cachedCensus(current);
+        const RowCensus &c = workspace_.census(current);
         const bool still_useful =
             (task == ShuffleTask::FetchCollect && c.fetch() < lanes_ &&
              c.live() > 0) ||
@@ -306,7 +262,7 @@ DrsControl::refreshDesignatedRow(ShuffleTask task)
     for (int row = 0; row < rows_; ++row) {
         if (!eligible(row))
             continue;
-        const RowCensus &c = cachedCensus(row);
+        const RowCensus &c = workspace_.census(row);
         int score = -1;
         switch (task) {
           case ShuffleTask::FetchCollect:
@@ -355,7 +311,7 @@ DrsControl::chooseOperation(ShuffleTask task)
                 rowOwner_[static_cast<std::size_t>(row)] >= 0 ||
                 rowLocked(row))
                 continue;
-            if (accept(cachedCensus(row)))
+            if (accept(workspace_.census(row)))
                 return row;
         }
         return -1;
@@ -379,7 +335,7 @@ DrsControl::chooseOperation(ShuffleTask task)
         if (lane < 0)
             return std::nullopt;
         const bool want_inner = state == TravState::Inner;
-        const int home_live = cachedCensus(home).live();
+        const int home_live = workspace_.census(home).live();
         // Monotone consolidation: rays only move from emptier rows into
         // strictly fuller compatible rows, so the engine cannot ping-pong
         // with the inner-eject task. Prefer a hole in a row whose live
@@ -416,7 +372,7 @@ DrsControl::chooseOperation(ShuffleTask task)
                 rowOwner_[static_cast<std::size_t>(row)] >= 0 ||
                 rowLocked(row))
                 continue;
-            const RowCensus &c = cachedCensus(row);
+            const RowCensus &c = workspace_.census(row);
             if (c.leaf() > 0 && c.inner() > 0 && c.leaf() < donor_leaves) {
                 donor = row;
                 donor_leaves = c.leaf();
@@ -507,8 +463,8 @@ DrsControl::completeOperation(Operation &op)
     // destination slot, exactly where real buffer damage would surface.
     if (fault_ != nullptr && fault_->rollSwapBitFlip())
         workspace_.corruptRay(op.rowB, op.laneB, fault_->pick(256));
-    invalidateCensus(op.rowA);
-    invalidateCensus(op.rowB);
+    --rowLocks_[static_cast<std::size_t>(op.rowA)];
+    --rowLocks_[static_cast<std::size_t>(op.rowB)];
     if (smx_ != nullptr) {
         smx_->recordRaySwap(now_ - op.startCycle);
         smx_->addShuffleRfAccesses(
@@ -590,8 +546,9 @@ DrsControl::cycle(int issued_instructions)
                     auto chosen =
                         chooseOperation(static_cast<ShuffleTask>(t));
                     if (chosen) {
-                        chosen->startCycle = now_;
                         op = *chosen;
+                        ++rowLocks_[static_cast<std::size_t>(op.rowA)];
+                        ++rowLocks_[static_cast<std::size_t>(op.rowB)];
                     } else {
                         failed = true;
                     }
@@ -694,18 +651,19 @@ DrsControl::verifyInvariants() const
                 "DrsControl: operation has no remaining work");
     }
 
-    // The census cache is only ever read for unbound rows; a stale entry
-    // there would silently misdirect dispatch and shuffle decisions.
-    for (int row = 0; row < rows_; ++row) {
-        if (rowOwner_[static_cast<std::size_t>(row)] >= 0)
+    // Row locks are maintained counts; recount them from the operations.
+    // A drifted count would let the engine and a warp share a row, or
+    // keep a row out of dispatch forever.
+    std::vector<int> locks(static_cast<std::size_t>(rows_), 0);
+    for (const auto &op : ops_) {
+        if (!op.active)
             continue;
-        if (!censusValid_[static_cast<std::size_t>(row)])
-            continue;
-        if (censusCache_[static_cast<std::size_t>(row)].count !=
-            census(row).count)
-            throw std::logic_error(
-                "DrsControl: stale census cache for an unbound row");
+        ++locks[static_cast<std::size_t>(op.rowA)];
+        ++locks[static_cast<std::size_t>(op.rowB)];
     }
+    if (locks != rowLocks_)
+        throw std::logic_error(
+            "DrsControl: row lock counts disagree with the operations");
 }
 
 DrsControlStats
@@ -780,9 +738,6 @@ DrsControl::idealConsolidate()
         cursor += static_cast<std::size_t>(lanes_) -
                   cursor % static_cast<std::size_t>(lanes_);
     place(leaf_rays);
-
-    for (int row : pool_rows)
-        invalidateCensus(row);
     uniformCacheValid_ = false;
 }
 

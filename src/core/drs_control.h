@@ -86,8 +86,9 @@ class DrsControl : public simt::WarpController
      * Renaming-table and swap-engine invariants: warpRow_/rowOwner_ are
      * mutually consistent bijections on the bound pairs (row-ownership
      * exclusivity), in-flight operations only touch unbound rows with
-     * in-range lanes and positive remaining work, and cached censuses of
-     * unbound rows match the workspace. Throws std::logic_error.
+     * in-range lanes and positive remaining work, and each row's lock
+     * count equals the in-flight operations touching it. Throws
+     * std::logic_error.
      */
     void verifyInvariants() const override;
 
@@ -123,34 +124,13 @@ class DrsControl : public simt::WarpController
         std::uint64_t startCycle = 0;
     };
 
-    /** Per-row state census. */
-    struct RowCensus
-    {
-        std::array<int, simt::kNumTravStates> count{};
-        int total() const { return count[0] + count[1] + count[2]; }
-        int fetch() const { return count[0]; }
-        int inner() const { return count[1]; }
-        int leaf() const { return count[2]; }
-        int live() const { return count[1] + count[2]; }
-    };
-
-    /** Fresh census straight from the workspace. */
-    RowCensus census(int row) const;
-
-    /**
-     * Cached census for engine decisions. Valid only for unbound rows —
-     * their contents change exclusively through engine operations, which
-     * invalidate the cache.
-     */
-    const RowCensus &cachedCensus(int row);
-
-    void invalidateCensus(int row);
+    using RowCensus = simt::RowCensus;
 
     /** True when the row can be dispatched without divergence stalls. */
     bool dispatchable(const RowCensus &c) const;
 
     /** Dispatch decision for a dispatchable row. */
-    simt::RdctrlResult dispatch(int warp, int row, const RowCensus &c);
+    simt::RdctrlResult dispatch(int warp, int row);
 
     /** Find the best unbound, unlocked, dispatchable row (or -1). */
     int findUniformRow();
@@ -158,7 +138,12 @@ class DrsControl : public simt::WarpController
     /** Memoized findUniformRow (stalled warps retry every cycle). */
     int cachedUniformRow();
 
-    bool rowLocked(int row) const;
+    /** True while an in-flight operation touches @p row. */
+    bool rowLocked(int row) const
+    {
+        return rowLocks_[static_cast<std::size_t>(row)] != 0;
+    }
+
     void bindRow(int warp, int row);
     void unbindWarpRow(int warp);
 
@@ -194,13 +179,15 @@ class DrsControl : public simt::WarpController
     std::uint64_t now_ = 0;
     bool dirty_ = true; ///< unbound-row set or contents changed
 
-    std::vector<RowCensus> censusCache_;
-    std::vector<char> censusValid_;
+    /** Per row: in-flight operations touching it (rowLocked). */
+    std::vector<int> rowLocks_;
 
-    // Per-cycle cache of the drain-termination check.
-    std::uint64_t liveCacheCycle_ = ~0ULL;
-    std::size_t liveCacheValue_ = 1;
-    bool liveCachePoolEmpty_ = false;
+    /**
+     * Last cycle in which an rdctrl found rays still to trace. The drain
+     * exit is decided at cycle granularity: once a warp saw work in a
+     * cycle, no warp exits before the next one.
+     */
+    std::uint64_t workSeenCycle_ = ~0ULL;
 
     // Memoized uniform-row search (see cachedUniformRow()).
     bool uniformCacheValid_ = false;

@@ -14,7 +14,7 @@ using simt::TravState;
 
 GenericWorkspace::GenericWorkspace(const GenericWorkloadConfig &config,
                                    int rows, int lanes)
-    : rows_(rows), lanes_(lanes),
+    : RowWorkspace(rows, lanes),
       slots_(static_cast<std::size_t>(rows) * lanes)
 {
     geom::Pcg32 rng(config.seed);
@@ -33,24 +33,32 @@ GenericWorkspace::GenericWorkspace(const GenericWorkloadConfig &config,
 }
 
 GenericTask &
-GenericWorkspace::slot(int row, int lane)
+GenericWorkspace::mutableSlot(int row, int lane)
 {
-    return slots_.at(static_cast<std::size_t>(row) * lanes_ + lane);
+    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
+}
+
+const GenericTask &
+GenericWorkspace::slot(int row, int lane) const
+{
+    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
 }
 
 TravState
 GenericWorkspace::state(int row, int lane) const
 {
-    return slots_.at(static_cast<std::size_t>(row) * lanes_ + lane).state;
+    return slot(row, lane).state;
 }
 
 void
 GenericWorkspace::moveRay(int src_row, int src_lane, int dst_row,
                           int dst_lane)
 {
-    GenericTask &src = slot(src_row, src_lane);
-    GenericTask &dst = slot(dst_row, dst_lane);
+    GenericTask &src = mutableSlot(src_row, src_lane);
+    GenericTask &dst = mutableSlot(dst_row, dst_lane);
     assert(dst.state == TravState::Fetch);
+    transition(dst_row, dst.state, src.state);
+    transition(src_row, src.state, TravState::Fetch);
     dst = src;
     src = GenericTask{};
 }
@@ -58,16 +66,11 @@ GenericWorkspace::moveRay(int src_row, int src_lane, int dst_row,
 void
 GenericWorkspace::swapRays(int row_a, int lane_a, int row_b, int lane_b)
 {
-    std::swap(slot(row_a, lane_a), slot(row_b, lane_b));
-}
-
-std::size_t
-GenericWorkspace::liveRays() const
-{
-    std::size_t n = 0;
-    for (const auto &t : slots_)
-        n += t.state != TravState::Fetch ? 1 : 0;
-    return n;
+    GenericTask &a = mutableSlot(row_a, lane_a);
+    GenericTask &b = mutableSlot(row_b, lane_b);
+    transition(row_a, a.state, b.state);
+    transition(row_b, b.state, a.state);
+    std::swap(a, b);
 }
 
 bool
@@ -75,30 +78,37 @@ GenericWorkspace::fetchStep(int row, int lane)
 {
     if (poolEmpty())
         return false;
-    GenericTask &s = slot(row, lane);
+    GenericTask &s = mutableSlot(row, lane);
+    const TravState before = s.state;
     s = tasks_[nextTask_++];
     s.state = s.phaseARemaining > 0 ? TravState::Inner : TravState::Leaf;
+    transition(row, before, s.state);
     return true;
 }
 
 void
 GenericWorkspace::phaseAStep(int row, int lane)
 {
-    GenericTask &s = slot(row, lane);
+    GenericTask &s = mutableSlot(row, lane);
     assert(s.state == TravState::Inner);
     ++iterations_;
-    if (--s.phaseARemaining <= 0)
-        s.state = s.phaseBRemaining > 0 ? TravState::Leaf : TravState::Fetch;
+    if (--s.phaseARemaining <= 0) {
+        const TravState next =
+            s.phaseBRemaining > 0 ? TravState::Leaf : TravState::Fetch;
+        transition(row, s.state, next);
+        s.state = next;
+    }
 }
 
 void
 GenericWorkspace::phaseBStep(int row, int lane)
 {
-    GenericTask &s = slot(row, lane);
+    GenericTask &s = mutableSlot(row, lane);
     assert(s.state == TravState::Leaf);
     ++iterations_;
     if (--s.phaseBRemaining <= 0) {
         ++completed_;
+        transition(row, s.state, TravState::Fetch);
         s = GenericTask{};
     }
 }
@@ -227,7 +237,7 @@ GenericKernel::execute(int block, int row, int lane)
         }
     }
 
-    GenericTask &slot = workspace_.slot(row, lane);
+    const GenericTask &slot = workspace_.slot(row, lane);
     switch (block) {
       case GenericBlocks::kWwFetch: {
         const bool got = workspace_.fetchStep(row, lane);

@@ -17,30 +17,46 @@ TravWorkspace::TravWorkspace(const bvh::Bvh &bvh,
                              std::span<const geom::Ray> rays,
                              std::size_t first_ray, int rows, int lanes,
                              bool any_hit)
-    : bvh_(bvh),
+    : RowWorkspace(rows, lanes),
+      bvh_(bvh),
       triangles_(triangles),
       rays_(rays),
       firstRay_(first_ray),
-      rows_(rows),
-      lanes_(lanes),
       slots_(static_cast<std::size_t>(rows) * lanes),
       results_(rays_.size()),
       anyHit_(any_hit)
 {
-    if (rows <= 0 || lanes <= 0)
-        throw std::invalid_argument("workspace needs positive dimensions");
 }
 
 RaySlot &
 TravWorkspace::slot(int row, int lane)
 {
-    return slots_.at(static_cast<std::size_t>(row) * lanes_ + lane);
+    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
 }
 
 const RaySlot &
 TravWorkspace::slot(int row, int lane) const
 {
-    return slots_.at(static_cast<std::size_t>(row) * lanes_ + lane);
+    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
+}
+
+RaySlot
+TravWorkspace::takeRay(int row, int lane)
+{
+    RaySlot &s = slot(row, lane);
+    transition(row, s.state, TravState::Fetch);
+    RaySlot ray = std::move(s);
+    s = RaySlot{};
+    return ray;
+}
+
+void
+TravWorkspace::putRay(int row, int lane, RaySlot &&ray)
+{
+    RaySlot &s = slot(row, lane);
+    assert(s.state == TravState::Fetch && "destination must be empty");
+    transition(row, s.state, ray.state);
+    s = std::move(ray);
 }
 
 TravState
@@ -52,17 +68,17 @@ TravWorkspace::state(int row, int lane) const
 void
 TravWorkspace::moveRay(int src_row, int src_lane, int dst_row, int dst_lane)
 {
-    RaySlot &src = slot(src_row, src_lane);
-    RaySlot &dst = slot(dst_row, dst_lane);
-    assert(dst.state == TravState::Fetch && "destination must be empty");
-    dst = std::move(src);
-    src = RaySlot{};
+    putRay(dst_row, dst_lane, takeRay(src_row, src_lane));
 }
 
 void
 TravWorkspace::swapRays(int row_a, int lane_a, int row_b, int lane_b)
 {
-    std::swap(slot(row_a, lane_a), slot(row_b, lane_b));
+    RaySlot &a = slot(row_a, lane_a);
+    RaySlot &b = slot(row_b, lane_b);
+    transition(row_a, a.state, b.state);
+    transition(row_b, b.state, a.state);
+    std::swap(a, b);
 }
 
 void
@@ -81,16 +97,6 @@ TravWorkspace::corruptRay(int row, int lane, std::uint32_t bit)
     // inconsistency (it only steers which nodes the ray visits).
 }
 
-std::size_t
-TravWorkspace::liveRays() const
-{
-    std::size_t n = 0;
-    for (const auto &s : slots_)
-        if (s.state != TravState::Fetch)
-            ++n;
-    return n;
-}
-
 bool
 TravWorkspace::fetchStep(int row, int lane)
 {
@@ -99,6 +105,7 @@ TravWorkspace::fetchStep(int row, int lane)
 
     const std::size_t index = nextRay_++;
     RaySlot &s = slot(row, lane);
+    transition(row, s.state, TravState::Inner);
     s = RaySlot{};
     s.ray = rays_[index];
     s.invDir = Vec3{1.0f / s.ray.direction.x, 1.0f / s.ray.direction.y,
@@ -163,7 +170,15 @@ TravWorkspace::innerStep(int row, int lane)
 {
     RaySlot &s = slot(row, lane);
     assert(s.state == TravState::Inner);
+    const TravState before = s.state;
+    const InnerOutcome outcome = stepInner(s);
+    transition(row, before, s.state);
+    return outcome;
+}
 
+InnerOutcome
+TravWorkspace::stepInner(RaySlot &s)
+{
     if (s.nodeIndex < 0) {
         // Degenerate (empty BVH): terminate.
         popOrTerminate(s);
@@ -222,7 +237,9 @@ TravWorkspace::deferLeaf(int row, int lane)
     s.stack.insert(s.stack.begin(), s.nodeIndex);
     const std::int32_t next = s.stack.back();
     s.stack.pop_back();
+    const TravState before = s.state;
     enterNode(s, next);
+    transition(row, before, s.state);
     return true;
 }
 
@@ -231,6 +248,15 @@ TravWorkspace::leafStep(int row, int lane)
 {
     RaySlot &s = slot(row, lane);
     assert(s.state == TravState::Leaf);
+    const TravState before = s.state;
+    const bool hit = stepLeaf(s);
+    transition(row, before, s.state);
+    return hit;
+}
+
+bool
+TravWorkspace::stepLeaf(RaySlot &s)
+{
     assert(s.leafCursor < s.leafEnd);
 
     const std::int32_t tri_index = bvh_.triangleIndex(s.leafCursor);
@@ -265,6 +291,7 @@ TravWorkspace::storeResult(int row, int lane)
     RaySlot &s = slot(row, lane);
     // Force termination regardless of remaining stack (used by tests and
     // shadow-ray style early outs).
+    transition(row, s.state, TravState::Fetch);
     s.stack.clear();
     popOrTerminate(s);
 }

@@ -97,14 +97,11 @@ class TravWorkspace : public simt::RowWorkspace
     bool anyHitMode() const { return anyHit_; }
 
     // RowWorkspace interface (used by the DRS control / DMK).
-    int rowCount() const override { return rows_; }
-    int laneCount() const override { return lanes_; }
     simt::TravState state(int row, int lane) const override;
     void moveRay(int src_row, int src_lane, int dst_row,
                  int dst_lane) override;
     void swapRays(int row_a, int lane_a, int row_b, int lane_b) override;
     bool poolEmpty() const override { return nextRay_ >= rays_.size(); }
-    std::size_t liveRays() const override;
     /**
      * Fault-injection hook: flip one bit of the slot's geom::Ray payload
      * (origin/direction/tmin/tmax). Only those bytes are touched — the
@@ -114,9 +111,25 @@ class TravWorkspace : public simt::RowWorkspace
      */
     void corruptRay(int row, int lane, std::uint32_t bit) override;
 
-    /** Direct slot access (kernels and tests). */
+    /**
+     * Direct slot access (kernels and tests). Writing a slot's state
+     * through this reference bypasses the census; state changes go
+     * through the member functions below.
+     */
     RaySlot &slot(int row, int lane);
     const RaySlot &slot(int row, int lane) const;
+
+    /**
+     * Take the ray out of (row, lane), leaving the slot empty (the DMK's
+     * spawn-memory dump).
+     */
+    RaySlot takeRay(int row, int lane);
+
+    /**
+     * Place @p ray into (row, lane), which must be empty (the DMK's
+     * spawn-memory reload).
+     */
+    void putRay(int row, int lane, RaySlot &&ray);
 
     // --- traversal semantics (shared by both kernel flavours) ---
 
@@ -171,6 +184,10 @@ class TravWorkspace : public simt::RowWorkspace
     std::size_t poolRemaining() const { return rays_.size() - nextRay_; }
 
   private:
+    /** innerStep/leafStep on the slot; the caller updates the census. */
+    InnerOutcome stepInner(RaySlot &slot);
+    bool stepLeaf(RaySlot &slot);
+
     /** Advance to the node on top of the stack, or terminate the ray. */
     void popOrTerminate(RaySlot &slot);
 
@@ -181,8 +198,6 @@ class TravWorkspace : public simt::RowWorkspace
     const std::vector<geom::Triangle> &triangles_;
     const std::span<const geom::Ray> rays_; ///< borrowed input stripe
     std::size_t firstRay_;
-    int rows_;
-    int lanes_;
     std::size_t nextRay_ = 0;
     std::uint64_t raysCompleted_ = 0;
     std::vector<RaySlot> slots_;

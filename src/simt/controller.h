@@ -12,8 +12,12 @@
  * hardware models.
  */
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
+#include <vector>
 
 #include "obs/counters.h"
 
@@ -34,22 +38,48 @@ enum class TravState : std::uint8_t
 /** Number of distinct TravState values. */
 inline constexpr int kNumTravStates = 3;
 
+/** Per-row count of slots in each TravState. */
+struct RowCensus
+{
+    std::array<int, kNumTravStates> count{};
+    int fetch() const { return count[0]; }
+    int inner() const { return count[1]; }
+    int leaf() const { return count[2]; }
+    int live() const { return count[1] + count[2]; }
+};
+
 /**
  * The register-file-resident rows of ray state, as seen by ray-management
  * hardware. Implemented by the traversal kernels (they own the actual
  * per-slot live variables); the DRS control reads states and commands
  * logical ray moves through it.
+ *
+ * The base class owns the ray-state census: per-row counts by TravState
+ * and the live-ray total. Every implementation reports each slot state
+ * change through transition(), so census() and liveRays() are O(1) reads
+ * instead of scans over the slots (check::verifyCensus recounts them
+ * under DRS_CHECK).
  */
 class RowWorkspace
 {
   public:
+    /** All rows x lanes slots start empty (Fetch). */
+    RowWorkspace(int rows, int lanes) : rows_(rows), lanes_(lanes)
+    {
+        if (rows <= 0 || lanes <= 0)
+            throw std::invalid_argument(
+                "workspace needs positive dimensions");
+        RowCensus empty;
+        empty.count[static_cast<std::size_t>(TravState::Fetch)] = lanes;
+        census_.assign(static_cast<std::size_t>(rows), empty);
+    }
     virtual ~RowWorkspace() = default;
 
     /** Number of logical rows (N warps + M backup + 2 empty). */
-    virtual int rowCount() const = 0;
+    int rowCount() const { return rows_; }
 
     /** Lanes per row (the warp size). */
-    virtual int laneCount() const = 0;
+    int laneCount() const { return lanes_; }
 
     /** Traversal state of slot (row, lane). */
     virtual TravState state(int row, int lane) const = 0;
@@ -67,8 +97,14 @@ class RowWorkspace
     /** True when the SMX's input ray pool is exhausted. */
     virtual bool poolEmpty() const = 0;
 
+    /** Slot counts of @p row by traversal state. */
+    const RowCensus &census(int row) const
+    {
+        return census_[static_cast<std::size_t>(row)];
+    }
+
     /** Number of live (Inner or Leaf) rays currently held in rows. */
-    virtual std::size_t liveRays() const = 0;
+    std::size_t liveRays() const { return live_; }
 
     /**
      * Fault-injection hook: flip one bit of the ray payload held in slot
@@ -82,6 +118,23 @@ class RowWorkspace
         (void)lane;
         (void)bit;
     }
+
+  protected:
+    /** One slot of @p row changed state from @p from to @p to. */
+    void transition(int row, TravState from, TravState to)
+    {
+        RowCensus &c = census_[static_cast<std::size_t>(row)];
+        --c.count[static_cast<std::size_t>(from)];
+        ++c.count[static_cast<std::size_t>(to)];
+        live_ += static_cast<std::size_t>(to != TravState::Fetch);
+        live_ -= static_cast<std::size_t>(from != TravState::Fetch);
+    }
+
+  private:
+    int rows_;
+    int lanes_;
+    std::vector<RowCensus> census_;
+    std::size_t live_ = 0;
 };
 
 /** Outcome of a warp's attempt to issue the rdctrl instruction. */

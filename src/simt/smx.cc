@@ -54,7 +54,8 @@ Smx::Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
     warps_.reserve(static_cast<std::size_t>(num_warps));
     for (int w = 0; w < num_warps; ++w) {
         warps_.emplace_back(w, w, entry, prog.exitBlock(), config.simdLanes);
-        warps_.back().age = static_cast<std::uint64_t>(w);
+        if (warps_.back().exited())
+            ++exitedWarps_;
     }
     memAddresses_.reserve(static_cast<std::size_t>(config.simdLanes));
 }
@@ -62,16 +63,23 @@ Smx::Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
 bool
 Smx::done() const
 {
-    for (const auto &w : warps_)
-        if (!w.exited())
-            return false;
-    return true;
+    return exitedWarps_ == warps_.size();
 }
 
-bool
-Smx::warpReady(const Warp &warp) const
+void
+Smx::verifyWarpCounts() const
 {
-    return !warp.exited() && warp.readyCycle <= cycle_;
+    std::size_t exited = 0;
+    std::uint64_t stalled = 0;
+    for (const auto &w : warps_) {
+        exited += w.exited() ? 1 : 0;
+        stalled += w.stalledOnRdctrl && !w.exited() ? 1 : 0;
+    }
+    if (exited != exitedWarps_)
+        throw std::logic_error("Smx: exited-warp count disagrees with warps");
+    if (stalled != stalledWarps_)
+        throw std::logic_error(
+            "Smx: rdctrl-stalled warp count disagrees with warps");
 }
 
 bool
@@ -84,13 +92,17 @@ Smx::resolveRdctrl(Warp &warp)
             warp.stalledOnRdctrl = true;
             warp.stallStartCycle = cycle_;
             rdctrlStalledIssues_.add();
+            ++stalledWarps_;
         }
         return false;
     }
-    if (warp.stalledOnRdctrl && tracer_ && tracer_->enabled())
-        tracer_->record(obs::TraceEventKind::RdctrlStall, warp.id(),
-                        warp.stallStartCycle, cycle_);
-    warp.stalledOnRdctrl = false;
+    if (warp.stalledOnRdctrl) {
+        if (tracer_ && tracer_->enabled())
+            tracer_->record(obs::TraceEventKind::RdctrlStall, warp.id(),
+                            warp.stallStartCycle, cycle_);
+        warp.stalledOnRdctrl = false;
+        --stalledWarps_;
+    }
     warp.rdctrlResolved = true;
     warp.pendingExit = result.exit;
     warp.pendingBody = result.exit      ? -1
@@ -170,6 +182,8 @@ Smx::issueFromWarp(Warp &warp, int max_issues)
         if (warp.overheadInstructions == 0 &&
             warp.remainingInstructions == 0) {
             completeBlock(warp);
+            if (warp.exited())
+                ++exitedWarps_;
             break; // block boundary: stop dual issue across blocks
         }
     }
@@ -253,6 +267,7 @@ Smx::step()
     if (check_ && (cycle_ & 1023u) == 0) {
         check_->checkMemory(memory_);
         check_->checkKernel(kernel_);
+        verifyWarpCounts();
         if (controller_ != nullptr)
             controller_->verifyInvariants();
     }
@@ -263,49 +278,23 @@ Smx::step()
 
     for (int s = 0; s < schedulers; ++s) {
         // Greedy-then-oldest: try the warp this scheduler issued from
-        // last; when it cannot issue, fall back to the oldest ready warp.
+        // last; when it cannot issue, fall back to the oldest warp that
+        // can. Warp ids are the arrival order, so one pass over the
+        // scheduler's partition in id order is oldest-first; warps that
+        // fail to issue (not ready, stalled on rdctrl) are skipped. The
+        // last-issued warp is tried again in its turn, as a stalled warp
+        // retries rdctrl on every attempt.
         int issued = 0;
         const int last = lastIssued_[static_cast<std::size_t>(s)];
-        if (last >= 0) {
-            Warp &warp = warps_[static_cast<std::size_t>(last)];
-            if (warpReady(warp))
-                issued = issueFromWarp(warp, per_scheduler);
-        }
-
-        if (issued == 0) {
-            // Oldest-first scan over this scheduler's warp partition;
-            // warps that fail to issue (e.g. stalled on rdctrl) are
-            // skipped and the next-oldest is tried.
-            bool have_floor = false;
-            std::uint64_t age_floor = 0;
-            while (issued == 0) {
-                int candidate = -1;
-                std::uint64_t cand_age = ~0ULL;
-                for (std::size_t w = static_cast<std::size_t>(s);
-                     w < warps_.size();
-                     w += static_cast<std::size_t>(schedulers)) {
-                    Warp &warp = warps_[w];
-                    if (!warpReady(warp))
-                        continue;
-                    if (have_floor && warp.age <= age_floor)
-                        continue;
-                    if (warp.age < cand_age) {
-                        cand_age = warp.age;
-                        candidate = static_cast<int>(w);
-                    }
-                }
-                if (candidate < 0)
-                    break;
-                issued = issueFromWarp(
-                    warps_[static_cast<std::size_t>(candidate)],
-                    per_scheduler);
-                if (issued > 0) {
-                    lastIssued_[static_cast<std::size_t>(s)] = candidate;
-                } else {
-                    have_floor = true;
-                    age_floor = cand_age;
-                }
-            }
+        if (last >= 0)
+            issued = issueFromWarp(warps_[static_cast<std::size_t>(last)],
+                                   per_scheduler);
+        for (std::size_t w = static_cast<std::size_t>(s);
+             issued == 0 && w < warps_.size();
+             w += static_cast<std::size_t>(schedulers)) {
+            issued = issueFromWarp(warps_[w], per_scheduler);
+            if (issued > 0)
+                lastIssued_[static_cast<std::size_t>(s)] = static_cast<int>(w);
         }
         if (attribution_)
             attributeUnissued(s, per_scheduler - issued);
@@ -313,9 +302,7 @@ Smx::step()
     }
 
     // Count stall time of rdctrl-stalled warps (Figure 9's metric).
-    for (const auto &w : warps_)
-        if (w.stalledOnRdctrl && !w.exited())
-            rdctrlStallCycles_.add();
+    rdctrlStallCycles_.add(stalledWarps_);
 
     if (issued_total == 0)
         issueIdleCycles_.add();
@@ -349,7 +336,7 @@ Smx::attributeUnissued(int scheduler, int slots)
     const Warp *hazard = nullptr;
     const Warp *live = nullptr;
     const auto oldest = [](const Warp *best, const Warp &warp) {
-        return best == nullptr || warp.age < best->age ? &warp : best;
+        return best == nullptr || warp.id() < best->id() ? &warp : best;
     };
     for (std::size_t w = static_cast<std::size_t>(scheduler);
          w < warps_.size();
@@ -427,11 +414,7 @@ Smx::setFault(fault::FaultInjector *fault)
 std::uint64_t
 Smx::progressCount() const
 {
-    std::uint64_t exited = 0;
-    for (const auto &w : warps_)
-        if (w.exited())
-            ++exited;
-    return kernel_.raysCompleted() + exited;
+    return kernel_.raysCompleted() + exitedWarps_;
 }
 
 void
@@ -445,8 +428,7 @@ Smx::describeState(std::ostream &out) const
             out << " exited\n";
             continue;
         }
-        out << " row=" << w.row() << " age=" << w.age
-            << " readyCycle=" << w.readyCycle;
+        out << " row=" << w.row() << " readyCycle=" << w.readyCycle;
         if (w.stalledOnRdctrl)
             out << " STALLED-on-rdctrl since=" << w.stallStartCycle;
         out << " stack=[";

@@ -188,7 +188,12 @@ class Smx : public SmxHooks
     /** Handle the rdctrl handshake; returns false when the warp stalls. */
     bool resolveRdctrl(Warp &warp);
 
-    bool warpReady(const Warp &warp) const;
+    /**
+     * Recount the exited and rdctrl-stalled warps against the maintained
+     * counts (the periodic DRS_CHECK deep check); throws
+     * std::logic_error on a mismatch.
+     */
+    void verifyWarpCounts() const;
 
     /**
      * Charge scheduler @p scheduler's @p slots unissued slots of this
@@ -202,6 +207,10 @@ class Smx : public SmxHooks
     WarpController *controller_;
     SmxMemory memory_;
     std::vector<Warp> warps_;
+    /** Warps that have exited (done() when it reaches warps_.size()). */
+    std::size_t exitedWarps_ = 0;
+    /** Live warps currently stalled on rdctrl. */
+    std::uint64_t stalledWarps_ = 0;
     /** Last warp each scheduler issued from (greedy policy). */
     std::vector<int> lastIssued_;
     std::uint64_t cycle_ = 0;

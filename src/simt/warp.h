@@ -123,8 +123,6 @@ class Warp
     WarpWait waitReason = WarpWait::None;
     /** Cycle of last issue, for greedy-then-oldest scheduling. */
     std::uint64_t lastIssueCycle = 0;
-    /** Arrival order for the "oldest" policy. */
-    std::uint64_t age = 0;
     /** Set while the warp is stalled on rdctrl. */
     bool stalledOnRdctrl = false;
     /** Cycle the current rdctrl stall began (tracer bookkeeping). */

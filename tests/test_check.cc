@@ -196,11 +196,32 @@ TEST(Workspace, StrictConservationCatchesLostRay)
     kernels::TravWorkspace ws(setup.bvh, setup.scene.triangles(),
                               setup.rays, 0, 2, 32);
     ws.fetchStep(0, 0);
-    // Drop the fetched ray entirely: slot emptied, never completed. The
+    // Drop the fetched ray entirely: taken out of its slot (as the DMK
+    // parks rays in spawn memory) and never completed or put back. The
     // relaxed mode (architectures that legally park rays elsewhere)
     // accepts this; strict conservation must not.
-    ws.slot(0, 0) = kernels::RaySlot{};
+    (void)ws.takeRay(0, 0);
     EXPECT_NO_THROW(verifyWorkspace(ws, /*strict=*/false));
+    EXPECT_THROW(verifyWorkspace(ws, /*strict=*/true), InvariantViolation);
+}
+
+TEST(Workspace, DetectsCensusOutOfStepWithSlots)
+{
+    TestSetup setup(64);
+    kernels::TravWorkspace ws(setup.bvh, setup.scene.triangles(),
+                              setup.rays, 0, 2, 32);
+    ws.fetchStep(0, 0);
+    ws.fetchStep(1, 3);
+    ws.moveRay(1, 3, 0, 4);
+    EXPECT_EQ(ws.census(0).inner(), 2);
+    EXPECT_EQ(ws.census(1).fetch(), 32);
+    EXPECT_EQ(ws.liveRays(), 2u);
+    EXPECT_NO_THROW(verifyWorkspace(ws, /*strict=*/true));
+
+    // A raw state write bypasses the workspace's transitions: the live
+    // count still matches, but row 0's census no longer does.
+    ws.slot(0, 4).state = simt::TravState::Leaf;
+    EXPECT_THROW(verifyWorkspace(ws, /*strict=*/false), InvariantViolation);
     EXPECT_THROW(verifyWorkspace(ws, /*strict=*/true), InvariantViolation);
 }
 

@@ -23,16 +23,14 @@ class MockWorkspace : public simt::RowWorkspace
 {
   public:
     MockWorkspace(int rows, int lanes, bool pool_empty = false)
-        : rows_(rows), lanes_(lanes), poolEmpty_(pool_empty),
+        : RowWorkspace(rows, lanes), poolEmpty_(pool_empty),
           states_(static_cast<std::size_t>(rows) * lanes, TravState::Fetch)
     {
     }
 
-    int rowCount() const override { return rows_; }
-    int laneCount() const override { return lanes_; }
     TravState state(int row, int lane) const override
     {
-        return states_[static_cast<std::size_t>(row) * lanes_ + lane];
+        return states_[static_cast<std::size_t>(row) * laneCount() + lane];
     }
     void moveRay(int sr, int sl, int dr, int dl) override
     {
@@ -48,21 +46,17 @@ class MockWorkspace : public simt::RowWorkspace
         setState(rb, lb, a);
     }
     bool poolEmpty() const override { return poolEmpty_; }
-    std::size_t liveRays() const override
-    {
-        std::size_t n = 0;
-        for (auto s : states_)
-            n += s != TravState::Fetch ? 1 : 0;
-        return n;
-    }
 
     void setState(int row, int lane, TravState s)
     {
-        states_[static_cast<std::size_t>(row) * lanes_ + lane] = s;
+        TravState &slot =
+            states_[static_cast<std::size_t>(row) * laneCount() + lane];
+        transition(row, slot, s);
+        slot = s;
     }
     void fillRow(int row, TravState s)
     {
-        for (int lane = 0; lane < lanes_; ++lane)
+        for (int lane = 0; lane < laneCount(); ++lane)
             setState(row, lane, s);
     }
 
@@ -72,8 +66,6 @@ class MockWorkspace : public simt::RowWorkspace
     int swaps = 0;
 
   private:
-    int rows_;
-    int lanes_;
     bool poolEmpty_;
     std::vector<TravState> states_;
 };
@@ -243,6 +235,35 @@ TEST(DrsControl, SwapEngineSeparatesMixedRow)
     EXPECT_GT(control.stats().movesCompleted +
                   control.stats().exchangesCompleted,
               0u);
+}
+
+TEST(DrsControl, RowLocksFollowOperationsAndRelease)
+{
+    MockWorkspace ws(7, 32, true);
+    DrsControl control(strictConfig(), ws, 4);
+    ws.fillRow(4, TravState::Inner);
+    ws.setState(4, 0, TravState::Leaf);
+    ws.setState(4, 1, TravState::Leaf);
+    ws.fillRow(0, TravState::Inner);
+    ws.setState(0, 9, TravState::Leaf);
+    ASSERT_TRUE(control.onRdctrl(0).stall); // row 0 goes to the engine
+
+    // verifyInvariants recounts the per-row lock counts from the
+    // in-flight operations as they start and complete.
+    bool saw_active = false;
+    for (int i = 0; i < 5000; ++i) {
+        control.cycle(0);
+        saw_active |= control.activeOperations() > 0;
+        ASSERT_NO_THROW(control.verifyInvariants()) << "cycle " << i;
+    }
+    EXPECT_TRUE(saw_active);
+    EXPECT_EQ(control.activeOperations(), 0);
+    // Every lock was released: a warp whose own row is empty finds one
+    // of the separated rows instead of stalling.
+    const RdctrlResult r = control.onRdctrl(1);
+    EXPECT_FALSE(r.stall);
+    EXPECT_FALSE(r.exit);
+    EXPECT_NE(r.row, 1);
 }
 
 TEST(DrsControl, IdealizedConsolidationIsImmediate)

@@ -383,6 +383,49 @@ TEST_P(RegistryConformance, SimStatsMatchPinnedDigests)
     EXPECT_NE(clean, faulted) << "the fault seed injected nothing";
 }
 
+// The batch above is 384 rays per SMX: it drains without ever refilling
+// the rows. These pins run one SMX on 4096 rays, above the 61 x 32 =
+// 1952-slot ray-state table of DRS, so the pool-refill and fuller-row
+// remap paths of the DRS control and the DMK's spawn reloads are under
+// the digest too. Recorded like kPinnedDigests.
+TEST(InRegimeDigests, DrsAndDmkOnOneSmxMatchPins)
+{
+    ExperimentScale scale;
+    scale.sceneScale = 0.05f;
+    scale.width = 128;
+    scale.height = 96;
+    scale.samplesPerPixel = 1;
+    scale.raysPerBounce = 4096;
+    scale.numSmx = 1;
+    const PreparedScene scene =
+        prepareScene(scene::SceneId::Conference, scale);
+    const auto &rays = scene.trace.bounce(2).rays;
+    ASSERT_EQ(rays.size(), 4096u);
+
+    RunConfig config;
+    config.gpu.numSmx = 1;
+    config.check = 0;
+    struct Pin
+    {
+        Arch arch;
+        const char *reorderCounter; ///< must be non-zero in regime
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {Arch::Drs, "drs.remaps", 0x61be76adf5027591ULL},
+        {Arch::Dmk, "dmk.rays_loaded", 0xe2f80854d34858e2ULL},
+    };
+    for (const auto &[arch, counter, pinned] : pins) {
+        const simt::SimStats stats =
+            runBatch(arch, *scene.tracer, rays, config);
+        EXPECT_EQ(stats.raysTraced, rays.size()) << arch.name();
+        EXPECT_GT(stats.counters.value(counter), 0u) << counter;
+        const std::uint64_t digest = statsDigest(stats);
+        EXPECT_EQ(digest, pinned)
+            << arch.name() << std::hex << " digest 0x" << digest;
+    }
+}
+
 // Regression: quantize() used to cast a non-finite float straight to
 // uint32_t (UB under UBSan); NaN/Inf ray origins — the fuzzer produces
 // them — must map to grid cell 0 instead of tripping the sanitizer.
