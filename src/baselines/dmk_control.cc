@@ -122,22 +122,26 @@ DmkControl::verifyInvariants() const
 }
 
 std::uint32_t
-DmkControl::conflictCost(const std::vector<int> &slots) const
+DmkControl::conflictCost()
 {
     // Each of the 17 ray variables is one warp-wide spawn-memory access;
     // lanes touch bank (slot + variable) % banks. Extra cycles per access
-    // = (max per-bank population - 1), summed over the variables.
-    std::uint32_t total = 0;
+    // = (max per-bank population - 1), summed over the variables. Each
+    // lane's bank is reduced once, then stepped with a wrap per variable.
     const int banks = config_.spawnBanks;
-    std::vector<int> population(static_cast<std::size_t>(banks));
+    slotBanks_.clear();
+    for (int slot : loadSlots_)
+        slotBanks_.push_back(slot % banks);
+    bankPopulation_.resize(static_cast<std::size_t>(banks));
+    std::uint32_t total = 0;
     for (int var = 0; var < config_.cost.rayVariables; ++var) {
-        std::fill(population.begin(), population.end(), 0);
+        std::fill(bankPopulation_.begin(), bankPopulation_.end(), 0);
         int worst = 0;
-        for (int slot : slots) {
-            auto &p = population[static_cast<std::size_t>(
-                (slot + var) % banks)];
-            ++p;
-            worst = std::max(worst, p);
+        for (int &bank : slotBanks_) {
+            worst = std::max(
+                worst, ++bankPopulation_[static_cast<std::size_t>(bank)]);
+            if (++bank == banks)
+                bank = 0;
         }
         total += static_cast<std::uint32_t>(worst - 1);
     }
@@ -249,18 +253,18 @@ DmkControl::onRdctrl(int warp)
         return result;
     }
 
-    std::vector<int> load_slots;
+    loadSlots_.clear();
     const int take = std::min<int>(lanes, static_cast<int>(pool->size()));
     for (int lane = 0; lane < take; ++lane) {
         PooledRay pooled = std::move(pool->back());
         pool->pop_back();
         workspace_.putRay(row, lane, std::move(pooled.payload));
-        load_slots.push_back(pooled.spawnSlot);
+        loadSlots_.push_back(pooled.spawnSlot);
         freeSpawnSlot(pooled.spawnSlot);
         raysLoaded_.add();
     }
     overhead += config_.cost.spawnLoad;
-    conflicts += conflictCost(load_slots);
+    conflicts += conflictCost();
 
     spawns_.add();
     conflictCycles_.add(conflicts);

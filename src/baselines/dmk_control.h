@@ -100,8 +100,8 @@ class DmkControl : public simt::WarpController
         int spawnSlot = 0; ///< spawn-memory slot (bank = slot % banks)
     };
 
-    /** Bank-conflict cycles of moving @p slots through spawn memory. */
-    std::uint32_t conflictCost(const std::vector<int> &slots) const;
+    /** Bank-conflict cycles of moving loadSlots_ through spawn memory. */
+    std::uint32_t conflictCost();
 
     int allocSpawnSlot();
     void freeSpawnSlot(int slot);
@@ -112,6 +112,11 @@ class DmkControl : public simt::WarpController
     std::array<std::vector<PooledRay>, simt::kNumTravStates> pools_;
     std::vector<int> freeSlots_;
     int nextSpawnSlot_ = 0;
+
+    // Scratch reused by every spawn.
+    std::vector<int> loadSlots_;      ///< spawn slots of the reloaded rays
+    std::vector<int> slotBanks_;      ///< per reloaded ray, current bank
+    std::vector<int> bankPopulation_; ///< per bank, lanes touching it
 
     /** Observability counters ("dmk.*"); see obs::Counters. */
     obs::Counters counters_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_set>
@@ -34,6 +33,9 @@ TbcSmx::TbcSmx(const simt::GpuConfig &config, const TbcConfig &tbc,
     if (tbc.numWarps % tbc.warpsPerBlock != 0)
         throw std::invalid_argument(
             "TBC: numWarps must be a multiple of warpsPerBlock");
+    if (config.simdLanes < 1 || config.simdLanes > 32)
+        throw std::invalid_argument(
+            "TBC: simdLanes must be in [1, 32] (warps hold 32 lanes)");
 
     const int num_blocks = tbc.numWarps / tbc.warpsPerBlock;
     const int lanes = config.simdLanes;
@@ -45,23 +47,18 @@ TbcSmx::TbcSmx(const simt::GpuConfig &config, const TbcConfig &tbc,
         entry.rpc = kernel.program().exitBlock();
         for (int w = 0; w < tbc.warpsPerBlock; ++w) {
             CompactedWarp warp;
-            warp.lanes.resize(static_cast<std::size_t>(lanes));
             const int row = b * tbc.warpsPerBlock + w;
             for (int lane = 0; lane < lanes; ++lane)
                 warp.lanes[static_cast<std::size_t>(lane)] = {row, lane};
-            entry.warps.push_back(std::move(warp));
+            warp.active = lanes;
+            entry.warps.push_back(warp);
         }
         block.stack.push_back(std::move(entry));
         block.nextBlocks.assign(
             static_cast<std::size_t>(tbc.numWarps) * lanes, -1);
-        // Arm the initial entry.
-        for (auto &warp : block.stack.back().warps) {
-            warp.remainingInstructions =
-                kernel.program().block(0).instructionCount;
-            warp.semanticsDone = false;
-            warp.readyCycle = 0;
-        }
+        armTop(block);
     }
+    memAddresses_.reserve(static_cast<std::size_t>(lanes));
 }
 
 int
@@ -70,32 +67,56 @@ TbcSmx::threadSlotIndex(const ThreadRef &t) const
     return t.row * config_.simdLanes + t.lane;
 }
 
-bool
-TbcSmx::done() const
+void
+TbcSmx::compactInto(int target, std::vector<CompactedWarp> &warps) const
 {
-    for (const auto &b : blocks_)
-        if (!b.exited)
-            return false;
-    return true;
+    std::array<std::size_t, kMaxLanes> depth{};
+    warps.clear();
+    for (const RoutedThread &routed : routed_) {
+        if (routed.next != target)
+            continue;
+        const auto lane = static_cast<std::size_t>(routed.thread.lane);
+        if (depth[lane] == warps.size())
+            warps.emplace_back();
+        CompactedWarp &warp = warps[depth[lane]++];
+        warp.lanes[lane] = routed.thread;
+        ++warp.active;
+    }
 }
 
-std::vector<TbcSmx::CompactedWarp>
-TbcSmx::compact(const std::vector<std::vector<ThreadRef>> &per_lane,
-                int lanes)
+void
+TbcSmx::popEntry(ThreadBlock &block)
 {
-    std::size_t depth = 0;
-    for (const auto &list : per_lane)
-        depth = std::max(depth, list.size());
+    spareEntries_.push_back(std::move(block.stack.back()));
+    block.stack.pop_back();
+}
 
-    std::vector<CompactedWarp> warps(depth);
-    for (auto &warp : warps)
-        warp.lanes.assign(static_cast<std::size_t>(lanes), ThreadRef{});
-    for (int lane = 0; lane < lanes; ++lane) {
-        const auto &list = per_lane[static_cast<std::size_t>(lane)];
-        for (std::size_t k = 0; k < list.size(); ++k)
-            warps[k].lanes[static_cast<std::size_t>(lane)] = list[k];
+TbcSmx::BlockEntry &
+TbcSmx::pushEntry(ThreadBlock &block, int pc, int rpc)
+{
+    if (spareEntries_.empty()) {
+        block.stack.emplace_back();
+    } else {
+        block.stack.push_back(std::move(spareEntries_.back()));
+        spareEntries_.pop_back();
     }
-    return warps;
+    BlockEntry &entry = block.stack.back();
+    entry.pc = pc;
+    entry.rpc = rpc;
+    return entry;
+}
+
+void
+TbcSmx::armTop(ThreadBlock &block)
+{
+    BlockEntry &top = block.stack.back();
+    const int count = kernel_.program().block(top.pc).instructionCount;
+    for (auto &warp : top.warps) {
+        warp.remainingInstructions = count;
+        warp.semanticsDone = false;
+        warp.readyCycle = cycle_;
+    }
+    block.pendingWarps = static_cast<int>(top.warps.size());
 }
 
 void
@@ -104,41 +125,36 @@ TbcSmx::completeWarp(ThreadBlock &block, CompactedWarp &warp)
     BlockEntry &top = block.stack.back();
     const simt::Block &blk = kernel_.program().block(top.pc);
 
-    std::vector<std::uint64_t> addresses;
+    memAddresses_.clear();
     std::uint32_t bytes = 0;
-    for (const auto &t : warp.lanes) {
+    for (int lane = 0; lane < config_.simdLanes; ++lane) {
+        const ThreadRef &t = warp.lanes[static_cast<std::size_t>(lane)];
         if (t.row < 0)
             continue;
         const ThreadStep step = kernel_.execute(top.pc, t.row, t.lane);
         block.nextBlocks[static_cast<std::size_t>(threadSlotIndex(t))] =
             step.nextBlock;
         if (blk.memSpace != simt::MemSpace::None && step.memBytes > 0) {
-            addresses.push_back(step.memAddress);
+            memAddresses_.push_back(step.memAddress);
             bytes = step.memBytes;
         }
     }
-    if (!addresses.empty()) {
-        if (deferredMemory_) {
-            DeferredAccess deferred;
-            deferred.warp = &warp;
-            deferred.issueCycle = cycle_;
-            deferred.pending =
-                memory_.resolveL1(blk.memSpace, addresses, bytes);
-            deferredAccesses_.push_back(std::move(deferred));
-        } else {
-            const std::uint32_t latency =
-                memory_.warpAccess(blk.memSpace, addresses, bytes);
-            warp.readyCycle = cycle_ + latency;
-        }
+    if (!memAddresses_.empty()) {
+        auto &deferred = deferredAccesses_.push();
+        deferred.waiter = &warp;
+        deferred.issueCycle = cycle_;
+        memory_.resolveL1(blk.memSpace, memAddresses_, bytes,
+                          deferred.pending);
     }
     warp.semanticsDone = true;
+    --block.pendingWarps;
 }
 
 void
 TbcSmx::commitMemory()
 {
-    for (const DeferredAccess &d : deferredAccesses_)
-        d.warp->readyCycle = d.issueCycle + memory_.commitAccess(d.pending);
+    for (const auto &d : deferredAccesses_.entries())
+        d.waiter->readyCycle = d.issueCycle + memory_.commitAccess(d.pending);
     deferredAccesses_.clear();
 }
 
@@ -147,38 +163,32 @@ TbcSmx::finishEntry(ThreadBlock &block)
 {
     const Program &prog = kernel_.program();
     BlockEntry &top = block.stack.back();
-    const int lanes = config_.simdLanes;
 
-    // Partition all threads of the entry by their buffered successor.
-    std::map<int, std::vector<std::vector<ThreadRef>>> targets;
+    // Route every thread of the entry by its buffered successor and
+    // collect the distinct successors, ascending.
+    routed_.clear();
+    targets_.clear();
     for (const auto &warp : top.warps) {
-        for (const auto &t : warp.lanes) {
+        for (int lane = 0; lane < config_.simdLanes; ++lane) {
+            const ThreadRef &t = warp.lanes[static_cast<std::size_t>(lane)];
             if (t.row < 0)
                 continue;
             const int next = block.nextBlocks[static_cast<std::size_t>(
                 threadSlotIndex(t))];
-            auto [it, inserted] = targets.try_emplace(next);
-            if (inserted)
-                it->second.resize(static_cast<std::size_t>(lanes));
-            it->second[static_cast<std::size_t>(t.lane)].push_back(t);
+            routed_.push_back(RoutedThread{next, t});
+            if (std::find(targets_.begin(), targets_.end(), next) ==
+                targets_.end())
+                targets_.push_back(next);
         }
     }
-    assert(!targets.empty());
+    assert(!targets_.empty());
+    std::sort(targets_.begin(), targets_.end());
 
-    auto arm_top = [&](BlockEntry &entry) {
-        const int count = prog.block(entry.pc).instructionCount;
-        for (auto &warp : entry.warps) {
-            warp.remainingInstructions = count;
-            warp.semanticsDone = false;
-            warp.readyCycle = cycle_;
-        }
-    };
-
-    if (targets.size() == 1) {
-        const int next = targets.begin()->first;
+    if (targets_.size() == 1) {
+        const int next = targets_.front();
         if (next == top.rpc) {
             if (block.stack.size() > 1) {
-                block.stack.pop_back();
+                popEntry(block);
             } else {
                 top.pc = next;
             }
@@ -186,20 +196,17 @@ TbcSmx::finishEntry(ThreadBlock &block)
             top.pc = next;
             // Straight-line continuation: recompact anyway, which merges
             // holes left by threads that reached the reconvergence point.
-            top.warps = compact(targets.begin()->second, lanes);
+            compactInto(next, compacted_);
+            top.warps.swap(compacted_);
         }
     } else {
         // Block-wide divergence: barrier + compaction.
         const int rpc = prog.immediatePostDominator(top.pc);
         top.pc = rpc;
-        for (auto &[next, per_lane] : targets) {
+        for (const int next : targets_) {
             if (next == rpc)
                 continue;
-            BlockEntry entry;
-            entry.pc = next;
-            entry.rpc = rpc;
-            entry.warps = compact(per_lane, lanes);
-            block.stack.push_back(std::move(entry));
+            compactInto(next, pushEntry(block, next, rpc).warps);
         }
         block.barrierUntil = cycle_ + static_cast<std::uint64_t>(
                                           tbc_.syncLatency);
@@ -208,14 +215,15 @@ TbcSmx::finishEntry(ThreadBlock &block)
 
     while (block.stack.size() > 1 &&
            block.stack.back().pc == block.stack.back().rpc)
-        block.stack.pop_back();
+        popEntry(block);
 
-    BlockEntry &new_top = block.stack.back();
-    if (block.stack.size() == 1 && new_top.pc == prog.exitBlock()) {
+    if (block.stack.size() == 1 &&
+        block.stack.back().pc == prog.exitBlock()) {
         block.exited = true;
+        ++exitedBlocks_;
         return;
     }
-    arm_top(new_top);
+    armTop(block);
 }
 
 int
@@ -232,7 +240,7 @@ TbcSmx::issueFromBlock(ThreadBlock &block, int max_issues)
         if (warp.semanticsDone || warp.readyCycle > cycle_ ||
             warp.remainingInstructions <= 0)
             continue;
-        const int active = warp.activeThreads();
+        const int active = warp.active;
         int issued = 0;
         while (issued < max_issues && warp.remainingInstructions > 0) {
             histogram_.recordInstruction(active, blk.spawnRelated);
@@ -281,13 +289,16 @@ TbcSmx::verifyInvariants() const
                 throw std::logic_error("TBC: stack pc/rpc out of range");
             std::unordered_set<int> threads;
             for (const CompactedWarp &warp : entry.warps) {
-                if (static_cast<int>(warp.lanes.size()) != lanes)
-                    throw std::logic_error("TBC: malformed compacted warp");
-                for (int lane = 0; lane < lanes; ++lane) {
+                int active = 0;
+                for (int lane = 0; lane < kMaxLanes; ++lane) {
                     const ThreadRef &t =
                         warp.lanes[static_cast<std::size_t>(lane)];
                     if (t.row < 0)
                         continue;
+                    ++active;
+                    if (lane >= lanes)
+                        throw std::logic_error(
+                            "TBC: thread beyond the warp width");
                     // Per-lane compaction: a thread can only occupy its
                     // own home lane in any warp it is compacted into.
                     if (t.lane != lane)
@@ -300,8 +311,20 @@ TbcSmx::verifyInvariants() const
                         throw std::logic_error(
                             "TBC: thread appears twice in one entry");
                 }
+                if (active != warp.active)
+                    throw std::logic_error(
+                        "TBC: cached active count disagrees with the lanes");
             }
             entry_threads.push_back(std::move(threads));
+        }
+
+        if (!block.exited) {
+            int pending = 0;
+            for (const CompactedWarp &warp : block.stack.back().warps)
+                pending += warp.semanticsDone ? 0 : 1;
+            if (pending != block.pendingWarps)
+                throw std::logic_error(
+                    "TBC: pending-warp count disagrees with the top entry");
         }
 
         // Child entries reconverge at their parent's pc (the parent is
@@ -353,15 +376,16 @@ TbcSmx::step()
 
     // Barrier maintenance: an entry whose warps have all completed (and
     // waited out their memory latency) partitions and compacts, whether
-    // or not a scheduler visits the block this cycle.
+    // or not a scheduler visits the block this cycle. Blocks with warps
+    // still to run are skipped on their pending count.
     for (auto &block : blocks_) {
-        if (block.exited || block.barrierUntil > cycle_)
+        if (block.exited || block.pendingWarps > 0 ||
+            block.barrierUntil > cycle_)
             continue;
-        bool all_done = true;
+        bool all_ready = true;
         for (const auto &warp : block.stack.back().warps)
-            all_done = all_done && warp.semanticsDone &&
-                       warp.readyCycle <= cycle_;
-        if (all_done)
+            all_ready = all_ready && warp.readyCycle <= cycle_;
+        if (all_ready)
             finishEntry(block);
     }
 
@@ -456,8 +480,10 @@ TbcSmx::attributeUnissued(int scheduler, int slots)
 void
 TbcSmx::run(std::uint64_t max_cycles)
 {
-    while (!done() && cycle_ < max_cycles)
+    while (!done() && cycle_ < max_cycles) {
         step();
+        commitMemory();
+    }
     if (!done())
         throw std::runtime_error("TBC simulation exceeded max_cycles");
 }
@@ -487,11 +513,7 @@ TbcSmx::setFault(fault::FaultInjector *fault)
 std::uint64_t
 TbcSmx::progressCount() const
 {
-    std::uint64_t exited = 0;
-    for (const auto &block : blocks_)
-        if (block.exited)
-            ++exited;
-    return kernel_.raysCompleted() + exited;
+    return kernel_.raysCompleted() + exitedBlocks_;
 }
 
 void
@@ -516,9 +538,9 @@ TbcSmx::describeState(std::ostream &out) const
             out << " barrierUntil=" << block.barrierUntil;
         out << '\n';
     }
-    if (!deferredAccesses_.empty())
-        out << "  pending deferred accesses: " << deferredAccesses_.size()
-            << '\n';
+    if (!deferredAccesses_.entries().empty())
+        out << "  pending deferred accesses: "
+            << deferredAccesses_.entries().size() << '\n';
 }
 
 simt::SimStats

@@ -12,6 +12,7 @@
  * for TBC's modest SIMD-efficiency gains.
  */
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -65,12 +66,13 @@ class TbcSmx : public simt::SmxHooks
     /** Observability counter registry ("tbc.*" / "smx.rf.*" names). */
     obs::Counters &counters() { return counters_; }
 
-    bool done() const;
+    bool done() const { return exitedBlocks_ == blocks_.size(); }
     void step();
+    /** Run alone (step() then commitMemory() per cycle) to completion. */
     void run(std::uint64_t max_cycles = 2'000'000'000ULL);
     std::uint64_t cycle() const { return cycle_; }
 
-    /** Commit buffered shared-side requests (deferred mode only). */
+    /** Commit this cycle's buffered shared-side requests (SmxHooks). */
     void commitMemory();
 
     /**
@@ -108,20 +110,19 @@ class TbcSmx : public simt::SmxHooks
         int lane = -1;
     };
 
+    /** Widest supported warp (lane masks are 32-bit). */
+    static constexpr int kMaxLanes = 32;
+
     /** A compacted warp: per lane, one thread or none. */
     struct CompactedWarp
     {
-        std::vector<ThreadRef> lanes; ///< size = warp width; row<0 = hole
+        /** Per lane (the warp width's first slots); row < 0 = hole. */
+        std::array<ThreadRef, kMaxLanes> lanes{};
+        /** Threads present, counted when the warp is compacted. */
+        int active = 0;
         int remainingInstructions = 0;
         std::uint64_t readyCycle = 0;
         bool semanticsDone = false;
-        int activeThreads() const
-        {
-            int n = 0;
-            for (const auto &t : lanes)
-                n += t.row >= 0 ? 1 : 0;
-            return n;
-        }
     };
 
     /** One block-wide reconvergence stack entry. */
@@ -137,17 +138,38 @@ class TbcSmx : public simt::SmxHooks
     {
         std::vector<BlockEntry> stack;
         bool exited = false;
+        /** Warps of the top entry whose semantics have not run yet. */
+        int pendingWarps = 0;
         /** Buffered successor per thread slot, filled at warp completion. */
         std::vector<int> nextBlocks; // indexed row-major over block slots
         std::uint64_t barrierUntil = 0;
     };
 
-    /** Compact @p threads (per lane lists) into warps, lane-preserving. */
-    static std::vector<CompactedWarp>
-    compact(const std::vector<std::vector<ThreadRef>> &per_lane, int lanes);
+    /** A thread of a finishing entry and its buffered successor. */
+    struct RoutedThread
+    {
+        int next = 0;
+        ThreadRef thread;
+    };
+
+    /**
+     * Compact the routed_ threads bound for @p target into @p warps,
+     * lane-preserving: the k-th such thread of lane L (in entry order)
+     * lands in lane L of warp k.
+     */
+    void compactInto(int target, std::vector<CompactedWarp> &warps) const;
 
     /** All warps of the top entry finished: partition and push. */
     void finishEntry(ThreadBlock &block);
+
+    /** Pop @p block's top entry into the spare pool. */
+    void popEntry(ThreadBlock &block);
+
+    /** Push an entry onto @p block's stack, reusing a spare one. */
+    BlockEntry &pushEntry(ThreadBlock &block, int pc, int rpc);
+
+    /** Arm @p block's top entry to issue its block from this cycle. */
+    void armTop(ThreadBlock &block);
 
     int issueFromBlock(ThreadBlock &block, int max_issues);
     void completeWarp(ThreadBlock &block, CompactedWarp &warp);
@@ -162,6 +184,8 @@ class TbcSmx : public simt::SmxHooks
     kernels::AilaKernel &kernel_;
     simt::SmxMemory memory_;
     std::vector<ThreadBlock> blocks_;
+    /** Blocks that have exited (done() when it reaches blocks_.size()). */
+    std::size_t exitedBlocks_ = 0;
     std::vector<int> lastIssuedBlock_; ///< per scheduler
     std::uint64_t cycle_ = 0;
 
@@ -172,20 +196,20 @@ class TbcSmx : public simt::SmxHooks
     obs::Counter &normalRfAccesses_;
     obs::Counter &syncStallCycles_;
 
-    /**
-     * One L1-resolved access awaiting its shared-side commit. The pointer
-     * stays valid between completeWarp and commitMemory: block stacks are
-     * only restructured by finishEntry, which runs at the start of the
-     * next step — after the commit.
-     */
-    struct DeferredAccess
-    {
-        CompactedWarp *warp = nullptr;
-        std::uint64_t issueCycle = 0;
-        simt::PendingWarpAccess pending;
-    };
+    // Scratch reused across completeWarp/finishEntry calls.
+    std::vector<std::uint64_t> memAddresses_;
+    std::vector<RoutedThread> routed_;
+    std::vector<int> targets_; ///< distinct successors, ascending
+    std::vector<CompactedWarp> compacted_;
+    /** Popped stack entries, kept with their warps' capacity. */
+    std::vector<BlockEntry> spareEntries_;
 
-    std::vector<DeferredAccess> deferredAccesses_;
+    /**
+     * L1-resolved accesses awaiting their commit. The warp pointers stay
+     * valid until commitMemory: block stacks are only restructured by
+     * finishEntry, which runs at the start of the next step.
+     */
+    simt::DeferredAccessQueue<CompactedWarp *> deferredAccesses_;
 };
 
 /**

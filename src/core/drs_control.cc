@@ -38,11 +38,33 @@ DrsControl::DrsControl(const DrsConfig &config,
     warpRow_.assign(static_cast<std::size_t>(num_warps), -1);
     rowOwner_.assign(static_cast<std::size_t>(rows_), -1);
     rowLocks_.assign(static_cast<std::size_t>(rows_), 0);
+    freeRows_.assign((static_cast<std::size_t>(rows_) + 63) / 64, 0);
     // Initially the first N rows are bound to the N warps (Section 3.2.2).
     for (int w = 0; w < num_warps; ++w) {
         warpRow_[static_cast<std::size_t>(w)] = w;
         rowOwner_[static_cast<std::size_t>(w)] = w;
     }
+    for (int row = 0; row < rows_; ++row)
+        updateFreeRow(row);
+}
+
+void
+DrsControl::updateFreeRow(int row)
+{
+    const std::uint64_t bit = 1ULL << (row & 63);
+    std::uint64_t &word = freeRows_[static_cast<std::size_t>(row) >> 6];
+    if (rowOwner_[static_cast<std::size_t>(row)] < 0 &&
+        rowLocks_[static_cast<std::size_t>(row)] == 0)
+        word |= bit;
+    else
+        word &= ~bit;
+}
+
+void
+DrsControl::addRowLock(int row, int delta)
+{
+    rowLocks_[static_cast<std::size_t>(row)] += delta;
+    updateFreeRow(row);
 }
 
 bool
@@ -100,12 +122,15 @@ DrsControl::bindRow(int warp, int row)
     const int old = warpRow_[static_cast<std::size_t>(warp)];
     if (old == row)
         return;
-    if (old >= 0)
+    if (old >= 0) {
         rowOwner_[static_cast<std::size_t>(old)] = -1;
+        updateFreeRow(old);
+    }
     assert(rowOwner_[static_cast<std::size_t>(row)] == -1 &&
            "a row may not be bound to more than one warp");
     warpRow_[static_cast<std::size_t>(warp)] = row;
     rowOwner_[static_cast<std::size_t>(row)] = warp;
+    updateFreeRow(row);
     dirty_ = true;
     uniformCacheValid_ = false;
 }
@@ -118,6 +143,7 @@ DrsControl::unbindWarpRow(int warp)
         return;
     rowOwner_[static_cast<std::size_t>(old)] = -1;
     warpRow_[static_cast<std::size_t>(warp)] = -1;
+    updateFreeRow(old);
     dirty_ = true;
     uniformCacheValid_ = false;
 }
@@ -129,9 +155,7 @@ DrsControl::findUniformRow()
     // fetch new work last; prefer fuller rows for higher SIMD payoff.
     int best = -1;
     int best_score = -1;
-    for (int row = 0; row < rows_; ++row) {
-        if (rowOwner_[static_cast<std::size_t>(row)] >= 0 || rowLocked(row))
-            continue;
+    for (int row = nextFreeRow(0); row >= 0; row = nextFreeRow(row + 1)) {
         const RowCensus &c = workspace_.census(row);
         if (!dispatchable(c))
             continue;
@@ -158,8 +182,7 @@ DrsControl::cachedUniformRow()
         const int row = uniformCacheRow_;
         if (row < 0)
             return -1;
-        if (rowOwner_[static_cast<std::size_t>(row)] == -1 &&
-            !rowLocked(row))
+        if (rowFree(row))
             return row;
     }
     uniformCacheRow_ = findUniformRow();
@@ -232,8 +255,9 @@ void
 DrsControl::refreshDesignatedRow(ShuffleTask task)
 {
     const auto t = static_cast<std::size_t>(task);
+    // Free rows not designated by another task.
     auto eligible = [&](int row) {
-        if (rowOwner_[static_cast<std::size_t>(row)] >= 0 || rowLocked(row))
+        if (!rowFree(row))
             return false;
         for (std::size_t other = 0; other < designated_.size(); ++other)
             if (other != t && designated_[other] == row)
@@ -259,7 +283,7 @@ DrsControl::refreshDesignatedRow(ShuffleTask task)
 
     int best = -1;
     int best_score = -1;
-    for (int row = 0; row < rows_; ++row) {
+    for (int row = nextFreeRow(0); row >= 0; row = nextFreeRow(row + 1)) {
         if (!eligible(row))
             continue;
         const RowCensus &c = workspace_.census(row);
@@ -306,10 +330,8 @@ DrsControl::chooseOperation(ShuffleTask task)
     };
 
     auto partner_rows = [&](auto &&accept) {
-        for (int row = 0; row < rows_; ++row) {
-            if (row == home ||
-                rowOwner_[static_cast<std::size_t>(row)] >= 0 ||
-                rowLocked(row))
+        for (int row = nextFreeRow(0); row >= 0; row = nextFreeRow(row + 1)) {
+            if (row == home)
                 continue;
             if (accept(workspace_.census(row)))
                 return row;
@@ -367,10 +389,8 @@ DrsControl::chooseOperation(ShuffleTask task)
         const int inner_slot = find_lane(home, TravState::Inner);
         int donor = -1;
         int donor_leaves = lanes_ + 1;
-        for (int row = 0; row < rows_; ++row) {
-            if (row == home ||
-                rowOwner_[static_cast<std::size_t>(row)] >= 0 ||
-                rowLocked(row))
+        for (int row = nextFreeRow(0); row >= 0; row = nextFreeRow(row + 1)) {
+            if (row == home)
                 continue;
             const RowCensus &c = workspace_.census(row);
             if (c.leaf() > 0 && c.inner() > 0 && c.leaf() < donor_leaves) {
@@ -463,8 +483,8 @@ DrsControl::completeOperation(Operation &op)
     // destination slot, exactly where real buffer damage would surface.
     if (fault_ != nullptr && fault_->rollSwapBitFlip())
         workspace_.corruptRay(op.rowB, op.laneB, fault_->pick(256));
-    --rowLocks_[static_cast<std::size_t>(op.rowA)];
-    --rowLocks_[static_cast<std::size_t>(op.rowB)];
+    addRowLock(op.rowA, -1);
+    addRowLock(op.rowB, -1);
     if (smx_ != nullptr) {
         smx_->recordRaySwap(now_ - op.startCycle);
         smx_->addShuffleRfAccesses(
@@ -547,8 +567,8 @@ DrsControl::cycle(int issued_instructions)
                         chooseOperation(static_cast<ShuffleTask>(t));
                     if (chosen) {
                         op = *chosen;
-                        ++rowLocks_[static_cast<std::size_t>(op.rowA)];
-                        ++rowLocks_[static_cast<std::size_t>(op.rowB)];
+                        addRowLock(op.rowA, 1);
+                        addRowLock(op.rowB, 1);
                     } else {
                         failed = true;
                     }
@@ -664,6 +684,20 @@ DrsControl::verifyInvariants() const
     if (locks != rowLocks_)
         throw std::logic_error(
             "DrsControl: row lock counts disagree with the operations");
+
+    // The free-row set is maintained too; recount it from the tables.
+    for (int row = 0; row < rows_; ++row) {
+        const bool free = rowOwner_[static_cast<std::size_t>(row)] < 0 &&
+                          rowLocks_[static_cast<std::size_t>(row)] == 0;
+        if (rowFree(row) != free)
+            throw std::logic_error(
+                "DrsControl: free-row set disagrees with bindings and locks");
+    }
+    for (std::size_t bit = static_cast<std::size_t>(rows_);
+         bit < freeRows_.size() * 64; ++bit)
+        if ((freeRows_[bit >> 6] >> (bit & 63)) & 1u)
+            throw std::logic_error(
+                "DrsControl: free-row set holds a row past the table");
 }
 
 DrsControlStats
@@ -688,9 +722,7 @@ DrsControl::idealConsolidate()
     std::vector<int> pool_rows;
     std::vector<std::pair<int, int>> inner_rays;
     std::vector<std::pair<int, int>> leaf_rays;
-    for (int row = 0; row < rows_; ++row) {
-        if (rowOwner_[static_cast<std::size_t>(row)] >= 0 || rowLocked(row))
-            continue;
+    for (int row = nextFreeRow(0); row >= 0; row = nextFreeRow(row + 1)) {
         pool_rows.push_back(row);
         for (int lane = 0; lane < lanes_; ++lane) {
             switch (workspace_.state(row, lane)) {

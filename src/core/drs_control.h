@@ -22,6 +22,7 @@
  */
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -86,8 +87,9 @@ class DrsControl : public simt::WarpController
      * Renaming-table and swap-engine invariants: warpRow_/rowOwner_ are
      * mutually consistent bijections on the bound pairs (row-ownership
      * exclusivity), in-flight operations only touch unbound rows with
-     * in-range lanes and positive remaining work, and each row's lock
-     * count equals the in-flight operations touching it. Throws
+     * in-range lanes and positive remaining work, each row's lock
+     * count equals the in-flight operations touching it, and the
+     * free-row set holds exactly the unbound, unlocked rows. Throws
      * std::logic_error.
      */
     void verifyInvariants() const override;
@@ -110,6 +112,16 @@ class DrsControl : public simt::WarpController
 
     /** Number of in-flight shuffle operations (tests). */
     int activeOperations() const;
+
+    /**
+     * True when @p row is in the free-row set: unbound and unlocked, so
+     * the row searches may pick it (tests).
+     */
+    bool rowFree(int row) const
+    {
+        return (freeRows_[static_cast<std::size_t>(row) >> 6] >>
+                (row & 63)) & 1u;
+    }
 
   private:
     /** One in-flight ray move/exchange. */
@@ -138,11 +150,29 @@ class DrsControl : public simt::WarpController
     /** Memoized findUniformRow (stalled warps retry every cycle). */
     int cachedUniformRow();
 
-    /** True while an in-flight operation touches @p row. */
-    bool rowLocked(int row) const
+    /**
+     * Lowest row >= @p from in the free-row set, or -1. Every row search
+     * walks the set with this, in ascending row order.
+     */
+    int nextFreeRow(int from) const
     {
-        return rowLocks_[static_cast<std::size_t>(row)] != 0;
+        std::size_t word = static_cast<std::size_t>(from) >> 6;
+        if (word >= freeRows_.size())
+            return -1;
+        std::uint64_t bits = freeRows_[word] & (~0ULL << (from & 63));
+        while (bits == 0) {
+            if (++word == freeRows_.size())
+                return -1;
+            bits = freeRows_[word];
+        }
+        return static_cast<int>(word * 64) + std::countr_zero(bits);
     }
+
+    /** Re-derive @p row's free bit from rowOwner_ and rowLocks_. */
+    void updateFreeRow(int row);
+
+    /** Add @p delta to @p row's lock count (operation start/end). */
+    void addRowLock(int row, int delta);
 
     void bindRow(int warp, int row);
     void unbindWarpRow(int warp);
@@ -179,8 +209,15 @@ class DrsControl : public simt::WarpController
     std::uint64_t now_ = 0;
     bool dirty_ = true; ///< unbound-row set or contents changed
 
-    /** Per row: in-flight operations touching it (rowLocked). */
+    /** Per row: in-flight operations touching it. */
     std::vector<int> rowLocks_;
+
+    /**
+     * The free-row set, one bit per row: rows that are unbound and
+     * unlocked. Updated at every binding and lock-count change;
+     * verifyInvariants recounts it.
+     */
+    std::vector<std::uint64_t> freeRows_;
 
     /**
      * Last cycle in which an rdctrl found rays still to trace. The drain

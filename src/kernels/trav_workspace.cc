@@ -28,18 +28,6 @@ TravWorkspace::TravWorkspace(const bvh::Bvh &bvh,
 {
 }
 
-RaySlot &
-TravWorkspace::slot(int row, int lane)
-{
-    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
-}
-
-const RaySlot &
-TravWorkspace::slot(int row, int lane) const
-{
-    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
-}
-
 RaySlot
 TravWorkspace::takeRay(int row, int lane)
 {
@@ -57,12 +45,6 @@ TravWorkspace::putRay(int row, int lane, RaySlot &&ray)
     assert(s.state == TravState::Fetch && "destination must be empty");
     transition(row, s.state, ray.state);
     s = std::move(ray);
-}
-
-TravState
-TravWorkspace::state(int row, int lane) const
-{
-    return slot(row, lane).state;
 }
 
 void
@@ -106,7 +88,7 @@ TravWorkspace::fetchStep(int row, int lane)
     const std::size_t index = nextRay_++;
     RaySlot &s = slot(row, lane);
     transition(row, s.state, TravState::Inner);
-    s = RaySlot{};
+    clearSlot(s);
     s.ray = rays_[index];
     s.invDir = Vec3{1.0f / s.ray.direction.x, 1.0f / s.ray.direction.y,
                     1.0f / s.ray.direction.z};
@@ -124,6 +106,15 @@ TravWorkspace::fetchStep(int row, int lane)
     // the inner step then forwards to the leaf phase.
     s.state = TravState::Inner;
     return true;
+}
+
+void
+TravWorkspace::clearSlot(RaySlot &s)
+{
+    std::vector<std::int32_t> stack = std::move(s.stack);
+    stack.clear();
+    s = RaySlot{};
+    s.stack = std::move(stack);
 }
 
 void
@@ -156,7 +147,7 @@ TravWorkspace::popOrTerminate(RaySlot &s)
             result.t = geom::kRayInfinity;
         ++raysCompleted_;
         const std::int64_t last = s.rayId;
-        s = RaySlot{};
+        clearSlot(s);
         s.lastRayId = last;
         return;
     }

@@ -97,7 +97,10 @@ class TravWorkspace : public simt::RowWorkspace
     bool anyHitMode() const { return anyHit_; }
 
     // RowWorkspace interface (used by the DRS control / DMK).
-    simt::TravState state(int row, int lane) const override;
+    simt::TravState state(int row, int lane) const override
+    {
+        return slot(row, lane).state;
+    }
     void moveRay(int src_row, int src_lane, int dst_row,
                  int dst_lane) override;
     void swapRays(int row_a, int lane_a, int row_b, int lane_b) override;
@@ -116,8 +119,14 @@ class TravWorkspace : public simt::RowWorkspace
      * through this reference bypasses the census; state changes go
      * through the member functions below.
      */
-    RaySlot &slot(int row, int lane);
-    const RaySlot &slot(int row, int lane) const;
+    RaySlot &slot(int row, int lane)
+    {
+        return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
+    }
+    const RaySlot &slot(int row, int lane) const
+    {
+        return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
+    }
 
     /**
      * Take the ray out of (row, lane), leaving the slot empty (the DMK's
@@ -190,6 +199,12 @@ class TravWorkspace : public simt::RowWorkspace
 
     /** Advance to the node on top of the stack, or terminate the ray. */
     void popOrTerminate(RaySlot &slot);
+
+    /**
+     * Reset @p s to an empty slot, keeping its traversal stack's
+     * capacity for the next ray.
+     */
+    static void clearSlot(RaySlot &s);
 
     /** Enter node @p node: set Inner or Leaf phase accordingly. */
     void enterNode(RaySlot &slot, std::int32_t node);

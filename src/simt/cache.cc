@@ -2,6 +2,7 @@
 
 #include "fault/fault.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace drs::simt {
@@ -15,8 +16,11 @@ Cache::Cache(std::uint32_t size_bytes, std::uint32_t line_bytes,
     if (ways == 0 || size_bytes < line_bytes * ways)
         throw std::invalid_argument("cache too small for its associativity");
     numSets_ = size_bytes / (line_bytes * ways);
-    if (numSets_ == 0)
-        numSets_ = 1;
+    if ((numSets_ & (numSets_ - 1)) != 0)
+        throw std::invalid_argument(
+            "cache set count must be a power of two");
+    lineShift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
+    setShift_ = static_cast<std::uint32_t>(std::countr_zero(numSets_));
     lines_.resize(static_cast<std::size_t>(numSets_) * ways_);
 }
 
@@ -29,9 +33,10 @@ Cache::access(std::uint64_t address)
     ++stats_.accesses;
     ++useCounter_;
 
-    const std::uint64_t line_addr = address / lineBytes_;
-    const std::uint32_t set = static_cast<std::uint32_t>(line_addr % numSets_);
-    const std::uint64_t tag = line_addr / numSets_;
+    const std::uint64_t line_addr = address >> lineShift_;
+    const std::uint32_t set =
+        static_cast<std::uint32_t>(line_addr & (numSets_ - 1));
+    const std::uint64_t tag = line_addr >> setShift_;
 
     Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
     Line *victim = base;
@@ -64,7 +69,7 @@ Cache::corruptRandomTag()
     Line &line = base[way];
     if (!line.valid)
         return; // the particle hit an empty frame — no observable effect
-    // Tags are line_addr / numSets_; 40 bits comfortably covers the
+    // Tags are line_addr >> log2(numSets_); 40 bits comfortably covers the
     // simulator's address space, so the flip always lands in live bits.
     const std::uint64_t flipped = line.tag ^ (1ULL << fault_->pick(40));
     for (std::uint32_t w = 0; w < ways_; ++w) {

@@ -45,7 +45,9 @@ class Cache
     /**
      * @param size_bytes total capacity
      * @param line_bytes line size (power of two)
-     * @param ways associativity
+     * @param ways associativity; size_bytes / (line_bytes * ways) sets,
+     *        which must be a power of two (lookups index with a shift
+     *        and a mask, not a division)
      */
     Cache(std::uint32_t size_bytes, std::uint32_t line_bytes,
           std::uint32_t ways);
@@ -58,6 +60,9 @@ class Cache
 
     /** Line size in bytes. */
     std::uint32_t lineBytes() const { return lineBytes_; }
+
+    /** log2 of the line size: address >> lineShift() is the line index. */
+    std::uint32_t lineShift() const { return lineShift_; }
 
     /** Number of sets. */
     std::uint32_t numSets() const { return numSets_; }
@@ -103,6 +108,8 @@ class Cache
     std::uint32_t lineBytes_;
     std::uint32_t ways_;
     std::uint32_t numSets_;
+    std::uint32_t lineShift_; ///< log2(lineBytes_)
+    std::uint32_t setShift_;  ///< log2(numSets_)
     std::uint64_t useCounter_ = 0;
     std::vector<Line> lines_; // numSets_ * ways_, set-major
     CacheStats stats_;

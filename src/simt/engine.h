@@ -267,7 +267,6 @@ runGpuUnits(const GpuConfig &config, const GpuRunOptions &options,
     for (int i = 0; i < config.numSmx; ++i) {
         GpuUnit<SmxLike> unit = make_unit(i, shared);
         SmxLike &smx = *unit.smx;
-        smx.setDeferredMemory(true);
         smx.setCheck(options.check);
         if (options.fault.enabled())
             smx.setFault(injectors[static_cast<std::size_t>(i)].get());

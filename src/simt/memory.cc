@@ -34,44 +34,48 @@ SmxMemory::SmxMemory(const MemoryConfig &config, SharedMemorySide &shared)
 {
 }
 
-std::uint32_t
-SmxMemory::warpAccess(MemSpace space,
-                      const std::vector<std::uint64_t> &addresses,
-                      std::uint32_t bytes)
+void
+SmxMemory::resolveL1(MemSpace space, std::span<const std::uint64_t> addresses,
+                     std::uint32_t bytes, PendingWarpAccess &pending)
 {
-    return commitAccess(resolveL1(space, addresses, bytes));
-}
-
-PendingWarpAccess
-SmxMemory::resolveL1(MemSpace space,
-                     const std::vector<std::uint64_t> &addresses,
-                     std::uint32_t bytes)
-{
-    PendingWarpAccess pending;
+    pending.baseLatency = 0;
+    pending.extraLatency = 0;
+    pending.l1Latency = 0;
+    pending.missLines.clear();
     if (space == MemSpace::None || addresses.empty())
-        return pending;
+        return;
 
     Cache &l1 = (space == MemSpace::Texture) ? l1Texture_ : l1Data_;
-    const std::uint32_t line = l1.lineBytes();
+    const std::uint32_t shift = l1.lineShift();
+    const std::uint64_t last_byte = std::max(bytes, 1u) - 1;
 
-    // Coalesce: collect the distinct lines this warp instruction touches.
-    // An access of `bytes` bytes may straddle a line boundary.
-    std::vector<std::uint64_t> lines;
-    lines.reserve(addresses.size());
+    // Coalesce: collect the distinct lines this warp instruction touches,
+    // in ascending order. An access of `bytes` bytes may straddle a line
+    // boundary. Lanes of a coherent warp mostly share a few lines, so a
+    // line already collected is dropped by a branch-free scan of the
+    // (short) distinct list, and only new lines are insertion-sorted in.
+    lines_.clear();
     for (std::uint64_t a : addresses) {
-        const std::uint64_t first = a / line;
-        const std::uint64_t last = (a + std::max(bytes, 1u) - 1) / line;
-        for (std::uint64_t l = first; l <= last; ++l)
-            lines.push_back(l);
+        const std::uint64_t last = (a + last_byte) >> shift;
+        for (std::uint64_t l = a >> shift; l <= last; ++l) {
+            bool seen = false;
+            for (std::uint64_t known : lines_)
+                seen |= known == l;
+            if (seen)
+                continue;
+            std::size_t at = lines_.size();
+            lines_.push_back(l);
+            for (; at > 0 && lines_[at - 1] > l; --at)
+                lines_[at] = lines_[at - 1];
+            lines_[at] = l;
+        }
     }
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
 
     pending.l1Latency = (space == MemSpace::Texture)
                             ? config_.l1Texture.hitLatency
                             : config_.l1Data.hitLatency;
-    for (std::uint64_t l : lines) {
-        const std::uint64_t byte_addr = l * line;
+    for (std::uint64_t l : lines_) {
+        const std::uint64_t byte_addr = l << shift;
         if (l1.access(byte_addr))
             pending.baseLatency =
                 std::max(pending.baseLatency, pending.l1Latency);
@@ -80,9 +84,8 @@ SmxMemory::resolveL1(MemSpace space,
     }
     // Additional lines serialize at the L1 port, adding a small per-line
     // charge (memory divergence).
-    pending.extraLatency = static_cast<std::uint32_t>(lines.size() - 1) *
+    pending.extraLatency = static_cast<std::uint32_t>(lines_.size() - 1) *
                            config_.perLineSerialization;
-    return pending;
 }
 
 std::uint32_t

@@ -10,6 +10,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "simt/cache.h"
@@ -73,6 +74,41 @@ struct PendingWarpAccess
     std::vector<std::uint64_t> missLines;
 };
 
+/**
+ * The accesses one SMX-like executor deferred in the current cycle, in
+ * issue order, each tagged with the @p Waiter its latency releases.
+ * clear() keeps the entries, and their missLines capacity, for reuse, so
+ * a steady-state cycle allocates nothing.
+ */
+template <typename Waiter>
+class DeferredAccessQueue
+{
+  public:
+    struct Entry
+    {
+        Waiter waiter{};
+        std::uint64_t issueCycle = 0;
+        PendingWarpAccess pending;
+    };
+
+    /** Append an entry, reusing a retired one; the caller sets every field. */
+    Entry &push()
+    {
+        if (size_ == entries_.size())
+            entries_.emplace_back();
+        return entries_[size_++];
+    }
+
+    /** This cycle's entries, oldest first. */
+    std::span<const Entry> entries() const { return {entries_.data(), size_}; }
+
+    void clear() { size_ = 0; }
+
+  private:
+    std::vector<Entry> entries_;
+    std::size_t size_ = 0;
+};
+
 /** The per-SMX memory path (both L1s), backed by a SharedMemorySide. */
 class SmxMemory
 {
@@ -80,26 +116,20 @@ class SmxMemory
     SmxMemory(const MemoryConfig &config, SharedMemorySide &shared);
 
     /**
-     * Perform a coalesced warp access.
+     * Phase 1 of a warp access: coalesce lanes into lines and look them up
+     * in the private L1 (which this call updates). The lines that miss go
+     * to @p pending.missLines in ascending order, for a later
+     * commitAccess() against the shared side; the L2 is NOT touched.
+     * @p pending is overwritten in place and its missLines keep their
+     * capacity, so a reused entry allocates nothing.
      *
      * @param space Global (L1D) or Texture (L1T)
-     * @param addresses per-active-lane byte addresses
+     * @param addresses per-active-lane byte addresses, in any order
      * @param bytes access width per lane
-     * @return total warp latency in cycles
+     * @param pending receives the L1 half of the access
      */
-    std::uint32_t warpAccess(MemSpace space,
-                             const std::vector<std::uint64_t> &addresses,
-                             std::uint32_t bytes);
-
-    /**
-     * Phase 1 of a warp access: coalesce lanes into lines and look them up
-     * in the private L1 (which this call updates). Lines that miss are
-     * returned for a later commitAccess() against the shared side; the L2
-     * is NOT touched. warpAccess() == resolveL1() + commitAccess().
-     */
-    PendingWarpAccess resolveL1(MemSpace space,
-                                const std::vector<std::uint64_t> &addresses,
-                                std::uint32_t bytes);
+    void resolveL1(MemSpace space, std::span<const std::uint64_t> addresses,
+                   std::uint32_t bytes, PendingWarpAccess &pending);
 
     /**
      * Phase 2: play the pending L2 lines against the shared side (in the
@@ -131,6 +161,8 @@ class SmxMemory
     SharedMemorySide &shared_;
     Cache l1Data_;
     Cache l1Texture_;
+    /** Coalescing scratch: the distinct lines of the access in flight. */
+    std::vector<std::uint64_t> lines_;
 };
 
 } // namespace drs::simt

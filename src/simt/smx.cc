@@ -131,9 +131,6 @@ Smx::resolveRdctrl(Warp &warp)
 int
 Smx::issueFromWarp(Warp &warp, int max_issues)
 {
-    if (warp.exited() || warp.readyCycle > cycle_)
-        return 0;
-
     const Program &prog = kernel_.program();
 
     // Starting a fresh block: handle the rdctrl handshake first.
@@ -237,19 +234,11 @@ Smx::completeBlock(Warp &warp)
     }
 
     if (!memAddresses_.empty()) {
-        if (deferredMemory_) {
-            DeferredAccess deferred;
-            deferred.warp = warp.id();
-            deferred.issueCycle = cycle_;
-            deferred.pending =
-                memory_.resolveL1(block.memSpace, memAddresses_, bytes);
-            deferredAccesses_.push_back(std::move(deferred));
-        } else {
-            const std::uint32_t latency =
-                memory_.warpAccess(block.memSpace, memAddresses_, bytes);
-            warp.readyCycle = cycle_ + latency;
-            warp.waitReason = WarpWait::Memory;
-        }
+        auto &deferred = deferredAccesses_.push();
+        deferred.waiter = warp.id();
+        deferred.issueCycle = cycle_;
+        memory_.resolveL1(block.memSpace, memAddresses_, bytes,
+                          deferred.pending);
     }
 
     warp.applySuccessors(nextBlocks_, prog);
@@ -286,12 +275,14 @@ Smx::step()
         // retries rdctrl on every attempt.
         int issued = 0;
         const int last = lastIssued_[static_cast<std::size_t>(s)];
-        if (last >= 0)
+        if (last >= 0 && ready(warps_[static_cast<std::size_t>(last)]))
             issued = issueFromWarp(warps_[static_cast<std::size_t>(last)],
                                    per_scheduler);
         for (std::size_t w = static_cast<std::size_t>(s);
              issued == 0 && w < warps_.size();
              w += static_cast<std::size_t>(schedulers)) {
+            if (!ready(warps_[w]))
+                continue;
             issued = issueFromWarp(warps_[w], per_scheduler);
             if (issued > 0)
                 lastIssued_[static_cast<std::size_t>(s)] = static_cast<int>(w);
@@ -386,9 +377,9 @@ Smx::commitMemory()
 {
     // FIFO order: the sequential engine's L2 sees this SMX's accesses in
     // exactly the order the schedulers produced them within the cycle.
-    for (const DeferredAccess &d : deferredAccesses_) {
+    for (const auto &d : deferredAccesses_.entries()) {
         const std::uint32_t latency = memory_.commitAccess(d.pending);
-        Warp &warp = warps_[static_cast<std::size_t>(d.warp)];
+        Warp &warp = warps_[static_cast<std::size_t>(d.waiter)];
         warp.readyCycle = d.issueCycle + latency;
         warp.waitReason = WarpWait::Memory;
     }
@@ -398,8 +389,10 @@ Smx::commitMemory()
 void
 Smx::run(std::uint64_t max_cycles)
 {
-    while (!done() && cycle_ < max_cycles)
+    while (!done() && cycle_ < max_cycles) {
         step();
+        commitMemory();
+    }
 }
 
 void
@@ -441,10 +434,10 @@ Smx::describeState(std::ostream &out) const
         }
         out << "]\n";
     }
-    if (!deferredAccesses_.empty()) {
+    if (!deferredAccesses_.entries().empty()) {
         out << "  pending deferred accesses:";
-        for (const DeferredAccess &d : deferredAccesses_)
-            out << " {warp=" << d.warp << " issued=" << d.issueCycle
+        for (const auto &d : deferredAccesses_.entries())
+            out << " {warp=" << d.waiter << " issued=" << d.issueCycle
                 << " missLines=" << d.pending.missLines.size() << '}';
         out << '\n';
     }

@@ -30,21 +30,17 @@ namespace drs::simt {
  * The engine and observer attach points every SMX-like executor shares
  * (Smx, baselines::TbcSmx): runGpuUnits wires them identically for both.
  * Each executor arms its own fault sites in setFault().
+ *
+ * Both executors run one memory mode: step() resolves a warp access
+ * against the private L1s and buffers its shared-side (L2/DRAM) half;
+ * commitMemory() must follow every step() (serially, in SMX-index order
+ * across the GPU, as runEngine and run() do) to play those requests and
+ * release the waiting warps. A warp never observes its own memory
+ * latency within the cycle that issued the access.
  */
 class SmxHooks
 {
   public:
-    /**
-     * Deferred-memory mode, used by the parallel GPU engine: step() then
-     * buffers shared-side (L2/DRAM) requests instead of playing them
-     * immediately, and commitMemory() must be called after every step() —
-     * serially, in SMX-index order across the GPU — to resolve them and
-     * release the waiting warps. Per-cycle results are bit-identical to
-     * immediate mode because a warp never observes its own memory latency
-     * within the cycle that issued the access.
-     */
-    void setDeferredMemory(bool deferred) { deferredMemory_ = deferred; }
-
     /**
      * Attach an issue-slot attribution ledger (nullptr = off, the
      * default). Must be enabled for schedulersPerSmx x
@@ -79,7 +75,6 @@ class SmxHooks
      */
     void finishStats(SimStats &stats) const;
 
-    bool deferredMemory_ = false;
     const CheckContext *check_ = nullptr;
     fault::FaultInjector *fault_ = nullptr;
     obs::IssueAttribution *attribution_ = nullptr;
@@ -110,13 +105,16 @@ class Smx : public SmxHooks
     /** Advance one core cycle. */
     void step();
 
-    /** Commit buffered shared-side requests (deferred mode only). */
+    /** Commit this cycle's buffered shared-side requests (see SmxHooks). */
     void commitMemory();
 
     /** Current cycle count. */
     std::uint64_t cycle() const { return cycle_; }
 
-    /** Run to completion, bounding runaway simulations. */
+    /**
+     * Run to completion alone (step() then commitMemory() per cycle),
+     * bounding runaway simulations.
+     */
     void run(std::uint64_t max_cycles = ~0ULL);
 
     /** Statistics gathered so far (cache stats included). */
@@ -179,7 +177,13 @@ class Smx : public SmxHooks
     const std::vector<Warp> &warps() const { return warps_; }
 
   private:
-    /** Try to issue up to the dual-issue width from warp @p w. */
+    /** True when @p warp is live and not waiting out a latency. */
+    bool ready(const Warp &warp) const
+    {
+        return !warp.exited() && warp.readyCycle <= cycle_;
+    }
+
+    /** Try to issue up to the dual-issue width from a ready warp. */
     int issueFromWarp(Warp &warp, int max_issues);
 
     /** A block's instructions finished issuing: run semantics. */
@@ -242,15 +246,8 @@ class Smx : public SmxHooks
     std::vector<int> nextBlocks_;
     std::vector<std::uint64_t> memAddresses_;
 
-    /** One L1-resolved access awaiting its shared-side commit. */
-    struct DeferredAccess
-    {
-        int warp = -1;
-        std::uint64_t issueCycle = 0;
-        PendingWarpAccess pending;
-    };
-
-    std::vector<DeferredAccess> deferredAccesses_;
+    /** L1-resolved accesses awaiting their commit, by warp id. */
+    DeferredAccessQueue<int> deferredAccesses_;
 };
 
 } // namespace drs::simt

@@ -1,8 +1,9 @@
 #include "simt/warp.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <map>
 #include <stdexcept>
 
 namespace drs::simt {
@@ -27,17 +28,34 @@ Warp::applySuccessors(const std::vector<int> &next_blocks,
     const std::uint32_t mask = top.mask;
     const int branch_pc = top.pc;
 
-    // Partition active lanes by successor.
-    std::map<int, std::uint32_t> targets; // ordered for determinism
-    for (int lane = 0; lane < lanes_; ++lane) {
-        if (!(mask & (1u << lane)))
-            continue;
-        targets[next_blocks[static_cast<std::size_t>(lane)]] |= 1u << lane;
+    // Partition active lanes by successor into a fixed array (at most one
+    // target per lane), sorted by target for deterministic pushes.
+    struct Target
+    {
+        int block;
+        std::uint32_t mask;
+    };
+    std::array<Target, 32> targets;
+    int count = 0;
+    for (std::uint32_t rest = mask & fullMask(lanes_); rest != 0;
+         rest &= rest - 1) {
+        const int lane = std::countr_zero(rest);
+        const int next = next_blocks[static_cast<std::size_t>(lane)];
+        int t = 0;
+        while (t < count && targets[static_cast<std::size_t>(t)].block != next)
+            ++t;
+        if (t == count)
+            targets[static_cast<std::size_t>(count++)] = Target{next, 0};
+        targets[static_cast<std::size_t>(t)].mask |= 1u << lane;
     }
-    assert(!targets.empty());
+    assert(count > 0);
+    std::sort(targets.begin(), targets.begin() + count,
+              [](const Target &a, const Target &b) {
+                  return a.block < b.block;
+              });
 
-    if (targets.size() == 1) {
-        const int next = targets.begin()->first;
+    if (count == 1) {
+        const int next = targets[0].block;
         if (next == top.rpc) {
             // Reached the reconvergence point: rejoin the entry below.
             if (stack_.size() > 1) {
@@ -66,10 +84,11 @@ Warp::applySuccessors(const std::vector<int> &next_blocks,
         // Push in ascending target order so execution order is
         // deterministic (the highest-numbered target ends up on top and
         // runs first); any order is architecturally valid.
-        for (auto it = targets.begin(); it != targets.end(); ++it) {
-            if (it->first == rpc)
+        for (int t = 0; t < count; ++t) {
+            const Target &target = targets[static_cast<std::size_t>(t)];
+            if (target.block == rpc)
                 continue; // these lanes wait at the reconvergence entry
-            stack_.push_back(StackEntry{it->first, rpc, it->second});
+            stack_.push_back(StackEntry{target.block, rpc, target.mask});
         }
     }
 

@@ -4,23 +4,6 @@
 
 namespace drs::stats {
 
-void
-ActiveThreadHistogram::recordInstruction(int active, bool spawn_related)
-{
-    assert(active >= 0 && active <= kWarpSize);
-    ++instructions_;
-    activeThreads_ += static_cast<std::uint64_t>(active);
-    exact_[active] += 1;
-    if (spawn_related) {
-        ++spawnInstructions_;
-        return;
-    }
-    if (active > 0) {
-        int bucket = (active - 1) / 8;
-        buckets_[bucket] += 1;
-    }
-}
-
 double
 ActiveThreadHistogram::simdEfficiency() const
 {

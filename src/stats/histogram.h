@@ -8,6 +8,7 @@
  */
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,7 +42,19 @@ class ActiveThreadHistogram
     static constexpr int kNumBuckets = 4;
 
     /** Record one issued warp instruction with @p active threads enabled. */
-    void recordInstruction(int active, bool spawn_related = false);
+    void recordInstruction(int active, bool spawn_related = false)
+    {
+        assert(active >= 0 && active <= kWarpSize);
+        ++instructions_;
+        activeThreads_ += static_cast<std::uint64_t>(active);
+        exact_[static_cast<std::size_t>(active)] += 1;
+        if (spawn_related) {
+            ++spawnInstructions_;
+            return;
+        }
+        if (active > 0)
+            buckets_[static_cast<std::size_t>((active - 1) / 8)] += 1;
+    }
 
     /** Number of warp instructions issued (including spawn-related). */
     std::uint64_t instructions() const { return instructions_; }

@@ -22,6 +22,7 @@
 #include "bvh/traverse.h"
 #include "check/check.h"
 #include "check/reference.h"
+#include "fault/fault.h"
 #include "geom/rng.h"
 #include "harness/harness.h"
 #include "kernels/aila_kernel.h"
@@ -38,6 +39,20 @@ namespace {
 using geom::Hit;
 using geom::Ray;
 using geom::Vec3;
+
+/**
+ * Run config of the suite's end-to-end runs: @p num_smx SMXs with the
+ * forward-progress watchdog armed, so a livelock fails with the
+ * watchdog's state dump instead of spinning until the test timeout.
+ */
+harness::RunConfig
+checkRunConfig(int num_smx)
+{
+    harness::RunConfig config;
+    config.gpu.numSmx = num_smx;
+    config.watchdogCycles = fault::kDefaultWatchdogCycles;
+    return config;
+}
 
 /** Small scene + random rays, shared by the workspace/reference tests. */
 struct TestSetup
@@ -307,8 +322,7 @@ TEST(StatsLockstep, PassesOnRealRunAndDetectsDrift)
 {
     TestSetup setup(256);
     render::PathTracer tracer(setup.scene);
-    harness::RunConfig config;
-    config.gpu.numSmx = 2;
+    harness::RunConfig config = checkRunConfig(2);
     const simt::SimStats stats =
         runBatch(harness::Arch::Drs, tracer, setup.rays, config);
     EXPECT_NO_THROW(verifyStatsLockstep(stats));
@@ -369,8 +383,7 @@ TEST(Reference, VerifyBatchRejectsTamperedHits)
 {
     TestSetup setup(128);
     render::PathTracer tracer(setup.scene);
-    harness::RunConfig config;
-    config.gpu.numSmx = 1;
+    harness::RunConfig config = checkRunConfig(1);
     std::vector<Hit> hits;
     config.hitsOut = &hits;
     const simt::SimStats stats =
@@ -407,8 +420,7 @@ TEST(Harness, CheckedRunMatchesUncheckedOnAllArchitectures)
     for (const harness::Arch arch :
          {harness::Arch::Aila, harness::Arch::Drs, harness::Arch::Dmk,
           harness::Arch::Tbc}) {
-        harness::RunConfig config;
-        config.gpu.numSmx = 2;
+        harness::RunConfig config = checkRunConfig(2);
         config.check = 0;
         const simt::SimStats unchecked =
             runBatch(arch, tracer, setup.rays, config);

@@ -266,6 +266,57 @@ TEST(DrsControl, RowLocksFollowOperationsAndRelease)
     EXPECT_NE(r.row, 1);
 }
 
+TEST(DrsControl, FreeRowSetFollowsBindingsAndLocks)
+{
+    MockWorkspace ws(7, 32, true);
+    DrsControl control(strictConfig(), ws, 4);
+    // Rows 0-3 start bound to warps 0-3; the backup and empty rows are
+    // free.
+    for (int row = 0; row < 7; ++row)
+        EXPECT_EQ(control.rowFree(row), row >= 4) << "row " << row;
+
+    // A stalled warp releases its row into the set.
+    ws.fillRow(4, TravState::Inner);
+    ws.setState(4, 0, TravState::Leaf);
+    ws.setState(4, 1, TravState::Leaf);
+    ws.fillRow(0, TravState::Inner);
+    ws.setState(0, 9, TravState::Leaf);
+    ASSERT_TRUE(control.onRdctrl(0).stall);
+    EXPECT_TRUE(control.rowFree(0));
+
+    // In-flight operations lock their rows out of the set, and finishing
+    // them puts the rows back; bound rows are never free.
+    auto bound = [&](int row) {
+        for (int w = 0; w < 4; ++w)
+            if (control.warpRow(w) == row)
+                return true;
+        return false;
+    };
+    bool saw_locked_row = false;
+    for (int i = 0; i < 5000; ++i) {
+        control.cycle(0);
+        ASSERT_NO_THROW(control.verifyInvariants()) << "cycle " << i;
+        for (int row = 0; row < 7; ++row) {
+            if (bound(row))
+                ASSERT_FALSE(control.rowFree(row)) << "row " << row;
+            else
+                saw_locked_row |= !control.rowFree(row);
+        }
+    }
+    EXPECT_TRUE(saw_locked_row);
+    ASSERT_EQ(control.activeOperations(), 0);
+    for (int row = 0; row < 7; ++row)
+        EXPECT_EQ(control.rowFree(row), !bound(row)) << "row " << row;
+
+    // Remapping binds the new row and frees the old one.
+    const RdctrlResult r = control.onRdctrl(1);
+    ASSERT_FALSE(r.stall);
+    ASSERT_NE(r.row, 1);
+    EXPECT_FALSE(control.rowFree(r.row));
+    EXPECT_TRUE(control.rowFree(1));
+    EXPECT_NO_THROW(control.verifyInvariants());
+}
+
 TEST(DrsControl, IdealizedConsolidationIsImmediate)
 {
     MockWorkspace ws(7, 32, true);

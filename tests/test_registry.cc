@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
 #include "harness/arch_detail.h"
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
@@ -68,12 +69,18 @@ testRays()
     return span.size() > 768 ? span.first(768) : span;
 }
 
+/**
+ * The suite's run config. The forward-progress watchdog is armed so a
+ * livelocked architecture fails with the watchdog's state dump instead
+ * of spinning until the test timeout.
+ */
 RunConfig
 baseConfig()
 {
     RunConfig config;
     config.gpu.numSmx = testScale().numSmx;
     config.check = 0;
+    config.watchdogCycles = fault::kDefaultWatchdogCycles;
     return config;
 }
 
@@ -402,9 +409,8 @@ TEST(InRegimeDigests, DrsAndDmkOnOneSmxMatchPins)
     const auto &rays = scene.trace.bounce(2).rays;
     ASSERT_EQ(rays.size(), 4096u);
 
-    RunConfig config;
+    RunConfig config = baseConfig();
     config.gpu.numSmx = 1;
-    config.check = 0;
     struct Pin
     {
         Arch arch;

@@ -5,6 +5,9 @@
  * small synthetic kernels.
  */
 
+#include <bit>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "simt/cache.h"
@@ -56,6 +59,20 @@ TEST(Cache, RejectsBadGeometry)
 {
     EXPECT_THROW(Cache(1024, 60, 2), std::invalid_argument);  // not pow2
     EXPECT_THROW(Cache(64, 128, 2), std::invalid_argument);   // too small
+}
+
+TEST(Cache, RejectsSetCountNotAPowerOfTwo)
+{
+    // Lookups index with a shift and a mask: 48 KiB of 128 B lines in 4
+    // ways is 96 sets, which has no such split.
+    EXPECT_THROW(Cache(48 * 1024, 128, 4), std::invalid_argument);
+    // Every Table 1 cache has a power-of-two set count.
+    const MemoryConfig table1;
+    for (const CacheConfig &c :
+         {table1.l1Data, table1.l1Texture, table1.l2}) {
+        const Cache cache(c.sizeBytes, c.lineBytes, c.ways);
+        EXPECT_EQ(std::popcount(cache.numSets()), 1) << c.sizeBytes;
+    }
 }
 
 TEST(Cache, ThrashingWorkingSet)
@@ -123,6 +140,16 @@ TEST(Cache, InvariantsHoldThroughMixedTraffic)
 
 // --------------------------------------------------------------- Memory
 
+/** One warp access played at once: resolveL1, then commitAccess. */
+std::uint32_t
+warpAccess(SmxMemory &memory, MemSpace space,
+           const std::vector<std::uint64_t> &addresses, std::uint32_t bytes)
+{
+    PendingWarpAccess pending;
+    memory.resolveL1(space, addresses, bytes, pending);
+    return memory.commitAccess(pending);
+}
+
 TEST(Memory, CoalescedSingleLine)
 {
     MemoryConfig config;
@@ -132,9 +159,9 @@ TEST(Memory, CoalescedSingleLine)
     std::vector<std::uint64_t> addrs;
     for (int i = 0; i < 32; ++i)
         addrs.push_back(static_cast<std::uint64_t>(i) * 4);
-    const auto cold = memory.warpAccess(MemSpace::Global, addrs, 4);
+    const auto cold = warpAccess(memory, MemSpace::Global, addrs, 4);
     EXPECT_GE(cold, config.l1Data.hitLatency + config.l2.hitLatency);
-    const auto warm = memory.warpAccess(MemSpace::Global, addrs, 4);
+    const auto warm = warpAccess(memory, MemSpace::Global, addrs, 4);
     EXPECT_EQ(warm, config.l1Data.hitLatency);
     EXPECT_EQ(memory.l1DataStats().accesses, 2u);
 }
@@ -147,10 +174,10 @@ TEST(Memory, DivergentAccessTouchesManyLines)
     std::vector<std::uint64_t> addrs;
     for (int i = 0; i < 32; ++i)
         addrs.push_back(static_cast<std::uint64_t>(i) * 128);
-    memory.warpAccess(MemSpace::Texture, addrs, 4);
+    warpAccess(memory, MemSpace::Texture, addrs, 4);
     EXPECT_EQ(memory.l1TextureStats().accesses, 32u);
     // Serialization charge grows with the line count.
-    const auto warm = memory.warpAccess(MemSpace::Texture, addrs, 4);
+    const auto warm = warpAccess(memory, MemSpace::Texture, addrs, 4);
     EXPECT_EQ(warm, config.l1Texture.hitLatency +
                         31 * config.perLineSerialization);
 }
@@ -160,7 +187,7 @@ TEST(Memory, StraddlingAccessTouchesTwoLines)
     MemoryConfig config;
     SharedMemorySide shared(config);
     SmxMemory memory(config, shared);
-    memory.warpAccess(MemSpace::Global, {120}, 16); // crosses 128B boundary
+    warpAccess(memory, MemSpace::Global, {120}, 16); // crosses 128B boundary
     EXPECT_EQ(memory.l1DataStats().accesses, 2u);
 }
 
@@ -169,10 +196,55 @@ TEST(Memory, SeparateL1Spaces)
     MemoryConfig config;
     SharedMemorySide shared(config);
     SmxMemory memory(config, shared);
-    memory.warpAccess(MemSpace::Global, {0}, 4);
-    memory.warpAccess(MemSpace::Texture, {0}, 4);
+    warpAccess(memory, MemSpace::Global, {0}, 4);
+    warpAccess(memory, MemSpace::Texture, {0}, 4);
     EXPECT_EQ(memory.l1DataStats().accesses, 1u);
     EXPECT_EQ(memory.l1TextureStats().accesses, 1u);
+}
+
+TEST(Memory, CoalescingVisitsDistinctLinesInAscendingOrder)
+{
+    // Unsorted lanes with duplicates and line-straddling accesses must
+    // touch exactly the distinct lines, in ascending order: on a cold L1
+    // every line misses, so missLines (the order the lines go to the L2)
+    // is the touch order. Pinned against a std::set of the lines.
+    MemoryConfig config;
+    const std::uint64_t line = config.l1Data.lineBytes;
+    std::uint64_t state = 0x2545f4914f6cdd1dULL;
+    auto next = [&state] {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return state >> 33;
+    };
+    const std::uint32_t widths[] = {4, 16, 48, 200};
+    for (int trial = 0; trial < 200; ++trial) {
+        SharedMemorySide shared(config);
+        SmxMemory memory(config, shared);
+        const std::uint32_t bytes = widths[trial % 4];
+        std::vector<std::uint64_t> addrs;
+        const int lanes = 1 + static_cast<int>(next() % 32);
+        for (int lane = 0; lane < lanes; ++lane)
+            addrs.push_back(0x5000'0000 + next() % (8 * line));
+        std::set<std::uint64_t> reference;
+        for (const std::uint64_t a : addrs)
+            for (std::uint64_t b = a; b < a + bytes; ++b)
+                reference.insert(b / line * line);
+
+        PendingWarpAccess pending;
+        memory.resolveL1(MemSpace::Global, addrs, bytes, pending);
+        const std::vector<std::uint64_t> expected(reference.begin(),
+                                                  reference.end());
+        ASSERT_EQ(pending.missLines, expected) << "trial " << trial;
+        EXPECT_EQ(memory.l1DataStats().accesses, expected.size());
+        EXPECT_EQ(pending.extraLatency,
+                  (expected.size() - 1) * config.perLineSerialization);
+        memory.commitAccess(pending);
+        EXPECT_EQ(shared.l2Stats().accesses, expected.size());
+
+        // The same entry, reused for a warm repeat: every line hits.
+        memory.resolveL1(MemSpace::Global, addrs, bytes, pending);
+        EXPECT_TRUE(pending.missLines.empty());
+        EXPECT_EQ(pending.baseLatency, config.l1Data.hitLatency);
+    }
 }
 
 // ------------------------------------------------------------ Warp stack

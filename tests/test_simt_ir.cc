@@ -290,6 +290,46 @@ TEST(Warp, NestedLoopDivergenceSchedule)
     EXPECT_EQ(popcount(warp.activeMask()), 32);
 }
 
+TEST(Warp, ThreeWayDivergencePushesInAscendingTargetOrder)
+{
+    // 0 branches three ways; every side joins at 4, the ipdom of 0.
+    std::vector<Block> blocks;
+    blocks.push_back(makeBlock("switch", {1, 2, 3}));
+    blocks.push_back(makeBlock("a", {4}));
+    blocks.push_back(makeBlock("b", {4}));
+    blocks.push_back(makeBlock("c", {4}));
+    blocks.push_back(makeBlock("join", {5}));
+    blocks.push_back(makeBlock("exit", {}));
+    const Program program(std::move(blocks), 5);
+    ASSERT_EQ(program.immediatePostDominator(0), 4);
+
+    // Lanes name their targets out of order (3, 1, 2, 3, 1, 2, ...).
+    const int order[] = {3, 1, 2};
+    std::vector<int> next(32);
+    std::uint32_t masks[4] = {};
+    for (int lane = 0; lane < 32; ++lane) {
+        const int target = order[lane % 3];
+        next[static_cast<std::size_t>(lane)] = target;
+        masks[target] |= 1u << lane;
+    }
+    Warp warp(0, 0, 0, 5, 32);
+    warp.applySuccessors(next, program);
+
+    // The parked entry waits at the join; one entry per target is pushed
+    // in ascending target order, so the highest target runs first.
+    const std::vector<StackEntry> &stack = warp.stack();
+    ASSERT_EQ(stack.size(), 4u);
+    EXPECT_EQ(stack[0].pc, 4);
+    EXPECT_EQ(stack[0].mask, 0xffffffffu);
+    for (int target = 1; target <= 3; ++target) {
+        const StackEntry &entry = stack[static_cast<std::size_t>(target)];
+        EXPECT_EQ(entry.pc, target);
+        EXPECT_EQ(entry.rpc, 4);
+        EXPECT_EQ(entry.mask, masks[target]) << "target " << target;
+    }
+    EXPECT_EQ(warp.pc(), 3);
+}
+
 TEST(Warp, ForceExitDuringNestedDivergence)
 {
     // forceExit mid-divergence (the DRS retire path) must collapse the
